@@ -31,7 +31,7 @@ from .relations import (ActionStep, Adjacent, ArityError, BadDistance, Facing,
                         render_plan_step, render_relations)
 from .reward import (DEFAULT_BODY_WEIGHTS, BodyWeights, FingerFrame, RewardBreakdown,
                      TrackingError, alpha_gate, body_reward, energy_reward, hand_reward,
-                     total_reward, tracking_error)
+                     score_motion, total_reward, tracking_error)
 from .scene import (DuplicateId, MotionSequence, ObjectSpec, Scene, SchemaError, footprint,
                     load_motion, load_scene, save_motion, save_scene, top_surface_height)
 from .svg import render_scene_svg

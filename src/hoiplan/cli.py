@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HoiplanError
-from .geometry import Pose, matrix_to_quat, rot6d_decode
 from .layout import load_scene_map, save_scene_map, solve
 from .llm import HttpBackend, MockBackend, complete, render_prompt
 from .motion import load_grasps, postprocess_motion
@@ -21,16 +20,9 @@ from .planner import (DEFAULT_AGENT_RADIUS, DEFAULT_RESOLUTION, DEFAULT_STRIDE, 
                       dependency_order, downsample, load_plan, plan_routes, rasterize,
                       save_plan)
 from .relations import parse_plan, parse_relations
-from .reward import (DEFAULT_BODY_WEIGHTS, BodyWeights, LengthMismatch, body_reward,
-                     energy_reward, finite_difference_accels, load_weights, tracking_error)
-from .scene import dump_json, load_motion, load_scene, save_motion
+from .reward import DEFAULT_BODY_WEIGHTS, load_weights, score_motion
+from .scene import dump_json, load_motion, load_scene, save_motion, write_text
 from .svg import render_scene_svg
-
-
-def _write(path, text: str):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
 
 
 def _parse_xy(text: str) -> np.ndarray:
@@ -80,12 +72,10 @@ def cmd_plan(args) -> int:
     scene_map = solve(scene, relations, args.seed, warnings)
     corrections: list = []
     steps = dependency_order(scene, relations, proposed, corrections)
-    agent_start = args.agent_start if args.agent_start is not None else None
     plan = plan_routes(scene, scene_map, steps, agent_radius=args.agent_radius,
-                       resolution=args.resolution, agent_start=agent_start)
+                       resolution=args.resolution, agent_start=args.agent_start)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_scene_map(scene_map, out / "scene_map.json")
     save_plan(plan, out / "plan.json")
     summary = {
@@ -104,60 +94,8 @@ def cmd_render(args) -> int:
     scene = load_scene(args.scene)
     scene_map = load_scene_map(args.scene_map) if args.scene_map else None
     plan = load_plan(args.plan) if args.plan else None
-    _write(args.out, render_scene_svg(scene, scene_map, plan))
+    write_text(args.out, render_scene_svg(scene, scene_map, plan))
     return 0
-
-
-def _joint_pose(motion, t, j) -> Pose:
-    return Pose(motion.joints[t, j], matrix_to_quat(rot6d_decode(motion.joint_rot6d[t, j])))
-
-
-def _score_report(ref, sim, weights: BodyWeights, joint_names) -> dict:
-    if (ref.num_frames, ref.num_joints) != (sim.num_frames, sim.num_joints):
-        raise LengthMismatch("reference and simulated motions disagree in shape")
-    t = ref.num_frames
-    if joint_names is None:
-        # uniform weights when the skeleton is anonymous
-        names = [f"joint{j}" for j in range(ref.num_joints)]
-        weights = BodyWeights({n: 1.0 for n in names}, {n: 1.0 for n in names})
-    else:
-        names = joint_names
-        if len(names) != ref.num_joints:
-            raise LengthMismatch(f"--joint-names lists {len(names)} names for "
-                                 f"{ref.num_joints} joints")
-
-    # energy needs identifiable end effectors; an anonymous skeleton scores 1.0
-    effectors = [j for j, n in enumerate(names)
-                 if n in ("left_wrist", "right_wrist", "left_foot", "right_foot")]
-    sim_accels = finite_difference_accels(sim.joints[:, effectors, :], sim.fps) \
-        if effectors else np.zeros((0, 0, 3))
-
-    body_sum = 0.0
-    energy_sum = 0.0
-    for i in range(t):
-        sim_frame = {n: _joint_pose(sim, i, j) for j, n in enumerate(names)}
-        ref_frame = {n: _joint_pose(ref, i, j) for j, n in enumerate(names)}
-        sim_frame["object"] = sim.object_pose(i)
-        ref_frame["object"] = ref.object_pose(i)
-        body_sum += body_reward(sim_frame, ref_frame, weights, active_object="object")
-        if effectors and 1 <= i <= t - 2:
-            energy_sum += energy_reward(sim_accels[i - 1])
-        else:
-            energy_sum += 1.0
-    r_body = body_sum / t
-    r_hand = 1.0  # the motion format carries no finger tracks
-    r_energy = energy_sum / t
-    err = tracking_error(sim, ref)
-    return {
-        "frames": t,
-        "tracking_error": {"e_h_cm": err.e_h_cm, "e_o_cm": err.e_o_cm},
-        "reward": {
-            "r_body": r_body,
-            "r_hand": r_hand,
-            "r_energy": r_energy,
-            "total": 0.8 * r_body + 0.2 * r_hand + 0.05 * r_energy,
-        },
-    }
 
 
 def cmd_score(args) -> int:
@@ -165,10 +103,9 @@ def cmd_score(args) -> int:
     sim = load_motion(args.sim)
     weights = load_weights(args.weights) if args.weights else DEFAULT_BODY_WEIGHTS
     names = args.joint_names.split(",") if args.joint_names else None
-    report = _score_report(ref, sim, weights, names)
-    text = dump_json(report)
+    text = dump_json(score_motion(ref, sim, weights, names))
     if args.out:
-        _write(args.out, text)
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -184,7 +121,7 @@ def cmd_postprocess(args) -> int:
         window=args.window, wrist_joints=wrist_joints, arm_chains=arm_chains)
     save_motion(out_motion, args.out)
     sidecar = Path(args.out).with_suffix(".diagnostics.json")
-    _write(sidecar, dump_json(diagnostics))
+    write_text(sidecar, dump_json(diagnostics))
     print(json.dumps({"motion": str(args.out), "diagnostics": str(sidecar)}, indent=2))
     return 0
 
@@ -197,7 +134,7 @@ def cmd_route(args) -> int:
         waypoints = downsample(waypoints, args.stride)
     text = dump_json({"route": [[x, y] for x, y in waypoints]})
     if args.out:
-        _write(args.out, text)
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -11,7 +11,6 @@ every random draw comes from a generator keyed on (seed, child, parent).
 """
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,8 @@ from .geometry import Pose, quat_from_yaw, quat_normalize, quat_rotate, quat_to_
 from .polygons import polygon_centroid, polygon_contains
 from .relations import Adjacent, Facing, On, SpatialRelation, compass_vector
 from .scene import (Scene, SchemaError, bottom_height, dump_json, footprint,
-                    footprint_circumradius, resting_descent, top_surface_height)
+                    footprint_circumradius, loads, read_text, resting_descent,
+                    top_surface_height, write_text)
 
 
 class UnknownObject(HoiplanError):
@@ -123,10 +123,7 @@ def scene_map_to_json(scene_map: SceneMap) -> dict:
 
 
 def parse_scene_map_json(text: str) -> SceneMap:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise SchemaError(f"invalid JSON: {e}", "") from e
+    doc = loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise SchemaError("expected an object with an 'entries' list", "/entries")
     entries = []
@@ -140,13 +137,11 @@ def parse_scene_map_json(text: str) -> SceneMap:
 
 
 def save_scene_map(scene_map: SceneMap, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dump_json(scene_map_to_json(scene_map)))
+    write_text(path, dump_json(scene_map_to_json(scene_map)))
 
 
 def load_scene_map(path) -> SceneMap:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_scene_map_json(f.read())
+    return parse_scene_map_json(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +284,10 @@ def compute_positions(graph: SceneGraph, scene: Scene, seed: int,
                 # never let averaging break the resting-height constraint
                 top = max(top_surface_height(scene.object(p), pp) for p, pp in on_parents)
                 pos[2] = top + resting_descent(spec, spec.initial_pose.orientation)
-                if len(suggestions) > 1:
-                    residual = max(float(np.linalg.norm(s - pos)) for s in suggestions)
-                    if residual > 1e-6:
-                        warnings.append(LayoutWarning("constraint_residual", v,
-                                                      f"predecessor suggestions disagree by {residual:.3g} m"))
                 child_radius = footprint_circumradius(spec, spec.initial_pose.orientation)
                 for parent, _ in on_parents:
                     placed_on.setdefault(parent, []).append((pos[:2].copy(), child_radius))
-            elif len(suggestions) > 1:
+            if len(suggestions) > 1:
                 residual = max(float(np.linalg.norm(s - pos)) for s in suggestions)
                 if residual > 1e-6:
                     warnings.append(LayoutWarning("constraint_residual", v,

@@ -20,7 +20,7 @@ from pathlib import Path
 import requests
 
 from .errors import HoiplanError
-from .scene import Scene
+from .scene import Scene, read_text, write_text
 
 ENV_URL = "HOIPLAN_LLM_URL"
 ENV_API_KEY = "HOIPLAN_LLM_API_KEY"
@@ -87,7 +87,6 @@ the blocks; everything outside the two blocks is ignored.
 class PromptBundle:
     system_text: str
     user_text: str
-    expected_sections: tuple[str, ...] = ("relations", "plan", "reasoning")
 
 
 @dataclass
@@ -145,14 +144,13 @@ class MockBackend:
         if not path.exists():
             raise MissingFixture(f"no fixture for prompt hash {prompt_key(bundle)} "
                                  f"in {self.fixtures_dir}")
-        return path.read_text(encoding="utf-8")
+        return read_text(path)
 
 
 def save_fixture(fixtures_dir, bundle: PromptBundle, response_text: str) -> Path:
     """Register a canned response for a prompt; returns the fixture path."""
     path = Path(fixtures_dir) / f"{prompt_key(bundle)}.txt"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(response_text, encoding="utf-8")
+    write_text(path, response_text)
     return path
 
 
@@ -167,6 +165,10 @@ class HttpBackend:
     retries: int = DEFAULT_RETRIES
     backoff: float = 1.0
     _sleep: object = field(default=time.sleep, repr=False)
+
+    def __post_init__(self):
+        if self.retries < 0:
+            raise ValueError(f"retries must be at least 0, got {self.retries}")
 
     @classmethod
     def from_env(cls) -> "HttpBackend":
@@ -224,7 +226,6 @@ class HttpBackend:
 # section extraction
 
 _FENCE = re.compile(r"```[ \t]*(?P<label>[A-Za-z_-]*)[ \t]*\n(?P<body>.*?)```", re.DOTALL)
-_LABELED = re.compile(r"^[#* \t]*(?P<label>relations|plan)[: \t]*$", re.IGNORECASE | re.MULTILINE)
 
 
 def _classify(body: str) -> str | None:

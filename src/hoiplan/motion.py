@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HoiplanError
-from .geometry import (Pose, matrix_to_quat, quat_conjugate, quat_from_axis_angle,
-                       quat_geodesic_angle, quat_multiply, quat_normalize, quat_rotate,
-                       quat_to_axis_angle, quat_to_matrix, rot6d_decode, rot6d_encode)
-from .scene import MotionSequence
+from .geometry import (Pose, quat_conjugate, quat_from_axis_angle, quat_geodesic_angle,
+                       quat_multiply, quat_normalize, quat_rotate, quat_to_axis_angle,
+                       quat_to_matrix, rot6d_encode)
+from .scene import MotionSequence, SchemaError, loads, read_text
 
 CONTACT_THRESHOLD = 0.5
 CONTACT_MIN_RUN = 5      # frames; about a sixth of a second at 30 fps
@@ -132,13 +132,7 @@ class GraspPose:
 
 def parse_grasps_json(text: str) -> dict[str, GraspPose | None]:
     """Per-hand grasp file: {"left": {"pos", "quat", "fingers"?} | null, "right": ...}."""
-    import json
-
-    from .scene import SchemaError
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise SchemaError(f"invalid JSON: {e}", "") from e
+    doc = loads(text)
     if not isinstance(doc, dict):
         raise SchemaError("expected an object with 'left' and 'right'", "")
     out: dict[str, GraspPose | None] = {}
@@ -173,8 +167,7 @@ def grasps_to_json(grasps: dict[str, GraspPose | None]) -> dict:
 
 
 def load_grasps(path) -> dict[str, GraspPose | None]:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_grasps_json(f.read())
+    return parse_grasps_json(read_text(path))
 
 
 def points_in_wrist_frame(object_traj, wrist_traj, rest_points) -> np.ndarray:
@@ -521,11 +514,6 @@ def pose_jump(traj) -> float:
     return worst
 
 
-def _wrist_traj(motion: MotionSequence, joint: int) -> list[Pose]:
-    return [Pose(motion.joints[t, joint], matrix_to_quat(rot6d_decode(motion.joint_rot6d[t, joint])))
-            for t in range(motion.num_frames)]
-
-
 def postprocess_motion(motion: MotionSequence, grasps: dict[str, GraspPose | None],
                        threshold: float = CONTACT_THRESHOLD,
                        min_run: int = CONTACT_MIN_RUN,
@@ -587,7 +575,7 @@ def postprocess_motion(motion: MotionSequence, grasps: dict[str, GraspPose | Non
         if wrist_joints is None or hand not in wrist_joints:
             continue
         widx = wrist_joints[hand]
-        old_wrist = _wrist_traj(motion, widx)
+        old_wrist = [motion.joint_pose(i, widx) for i in range(t)]
         new_wrist = recompute_wrist(traj, old_wrist, grasp, phases.contact, window)
         ik_residuals = []
         for i in range(t):

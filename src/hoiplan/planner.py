@@ -8,7 +8,6 @@ so optimality checks can compare costs exactly.
 """
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +18,7 @@ from .geometry import Pose
 from .layout import CycleDetected, SceneMap, UnknownObject
 from .polygons import convex_distance, point_to_convex_distance
 from .relations import ActionStep, On, SpatialRelation
-from .scene import Scene, SchemaError, dump_json, footprint
+from .scene import Scene, SchemaError, dump_json, footprint, loads, read_text, write_text
 
 SQRT2 = math.sqrt(2.0)
 
@@ -165,7 +164,7 @@ _STRAIGHTS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 def astar_cells(grid: OccupancyGrid, start: tuple[int, int], goals,
                 connectivity: int = 8) -> PathResult:
-    """Shortest path between cells; ``goals`` is a cell or a set of cells.
+    """Shortest path from a cell to the nearest of a set of goal cells.
 
     Heuristic: octile distance (Manhattan for 4-connectivity) minimized over
     the goal set, admissible for both connectivities. Raises NoPath when the
@@ -173,8 +172,7 @@ def astar_cells(grid: OccupancyGrid, start: tuple[int, int], goals,
     """
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
-    goal_set = {tuple(goals)} if isinstance(goals, tuple) and len(goals) == 2 \
-        and isinstance(goals[0], int) else {tuple(g) for g in goals}
+    goal_set = {tuple(g) for g in goals}
     if not grid.is_free(start):
         raise StartOccupied(f"start cell {start} is occupied or out of bounds")
     if not goal_set:
@@ -278,22 +276,19 @@ def downsample(waypoints, stride: float) -> list[tuple[float, float]]:
     return out
 
 
-def astar(grid: OccupancyGrid, start_xy, goal_xy, connectivity: int = 8,
-          stride: float | None = None) -> list[tuple[float, float]]:
+def astar(grid: OccupancyGrid, start_xy, goal_xy,
+          connectivity: int = 8) -> list[tuple[float, float]]:
     """Route between world positions; returns cell-center waypoints in meters."""
     start = grid.cell_of(start_xy)
     goal = grid.cell_of(goal_xy)
     if not grid.is_free(start):
-        raise StartOccupied(f"start {tuple(np.asarray(start_xy, dtype=float))} is occupied")
+        raise StartOccupied(f"start {tuple(map(float, start_xy))} is occupied")
     if not grid.is_free(goal):
-        raise GoalOccupied(f"goal {tuple(np.asarray(goal_xy, dtype=float))} is occupied")
+        raise GoalOccupied(f"goal {tuple(map(float, goal_xy))} is occupied")
     if start == goal:
         return [grid.center_of(start)]
     result = astar_cells(grid, start, {goal}, connectivity)
-    waypoints = [grid.center_of(c) for c in result.cells]
-    if stride:
-        waypoints = downsample(waypoints, stride)
-    return waypoints
+    return [grid.center_of(c) for c in result.cells]
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +372,7 @@ def plan_to_json(plan: ExecutionPlan) -> dict:
 
 
 def parse_plan_json(text: str) -> ExecutionPlan:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise SchemaError(f"invalid JSON: {e}", "") from e
+    doc = loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
         raise SchemaError("expected an object with a 'steps' list", "/steps")
     steps = []
@@ -394,13 +386,11 @@ def parse_plan_json(text: str) -> ExecutionPlan:
 
 
 def save_plan(plan: ExecutionPlan, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dump_json(plan_to_json(plan)))
+    write_text(path, dump_json(plan_to_json(plan)))
 
 
 def load_plan(path) -> ExecutionPlan:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_plan_json(f.read())
+    return parse_plan_json(read_text(path))
 
 
 def _cells_near_footprint(grid: OccupancyGrid, poly: np.ndarray,
@@ -449,7 +439,7 @@ def plan_routes(scene: Scene, scene_map: SceneMap, steps: list[ActionStep],
                          agent_radius=agent_radius, poses=poses)
         start = grid.cell_of(agent)
         if not grid.is_free(start):
-            raise StartOccupied(f"agent position {tuple(agent)} is occupied")
+            raise StartOccupied(f"agent position {tuple(map(float, agent))} is occupied")
 
         route: list[tuple[float, float]] = []
         current_poly = footprint(obj, poses[step.object_id])

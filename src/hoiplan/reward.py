@@ -8,7 +8,6 @@ Everything is a pure function so the evaluator doubles as a standalone
 motion-quality metric.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import HoiplanError
 from .geometry import Pose, quat_geodesic_angle
-from .scene import MotionSequence, SchemaError
+from .scene import MotionSequence, SchemaError, loads, read_text
 
 BODY_WEIGHT = 0.8
 HAND_WEIGHT = 0.2
@@ -89,16 +88,20 @@ class BodyWeights:
 DEFAULT_BODY_WEIGHTS = BodyWeights(dict(DEFAULT_W_Q), dict(DEFAULT_W_P))
 
 
+def _weight_table(raw, path: str) -> dict[str, float]:
+    if not isinstance(raw, dict):
+        raise SchemaError("expected an object mapping link names to numbers", path)
+    for name, v in raw.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise SchemaError("expected a number", f"{path}/{name}")
+    return {name: float(v) for name, v in raw.items()}
+
+
 def load_weights(path) -> BodyWeights:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"invalid JSON: {e}", "") from e
+    doc = loads(read_text(path))
     if not isinstance(doc, dict) or "w_q" not in doc or "w_p" not in doc:
         raise SchemaError("expected an object with 'w_q' and 'w_p'", "")
-    return BodyWeights({str(k): float(v) for k, v in doc["w_q"].items()},
-                       {str(k): float(v) for k, v in doc["w_p"].items()})
+    return BodyWeights(_weight_table(doc["w_q"], "/w_q"), _weight_table(doc["w_p"], "/w_p"))
 
 
 def weights_to_json(weights: BodyWeights) -> dict:
@@ -256,3 +259,56 @@ def finite_difference_accels(positions, fps: float) -> np.ndarray:
     if p.shape[0] < 3:
         return np.zeros((0,) + p.shape[1:])
     return (p[2:] - 2.0 * p[1:-1] + p[:-2]) * float(fps) * float(fps)
+
+
+def score_motion(ref: MotionSequence, sim: MotionSequence, weights: BodyWeights,
+                 joint_names: list[str] | None = None) -> dict:
+    """Sequence-level report: mean per-frame rewards plus tracking error.
+
+    Without ``joint_names`` every joint weighs 1 and the energy term reads
+    1.0, since end effectors cannot be identified; with names, ``weights``
+    applies and the wrists and feet drive the energy term. The motion format
+    carries no finger tracks, so the hand term is 1.0.
+    """
+    if (ref.num_frames, ref.num_joints) != (sim.num_frames, sim.num_joints):
+        raise LengthMismatch("reference and simulated motions disagree in shape")
+    t = ref.num_frames
+    if joint_names is None:
+        names = [f"joint{j}" for j in range(ref.num_joints)]
+        weights = BodyWeights({n: 1.0 for n in names}, {n: 1.0 for n in names})
+    else:
+        names = joint_names
+        if len(names) != ref.num_joints:
+            raise LengthMismatch(f"{len(names)} joint names given for {ref.num_joints} joints")
+
+    effectors = [j for j, n in enumerate(names)
+                 if n in ("left_wrist", "right_wrist", "left_foot", "right_foot")]
+    sim_accels = finite_difference_accels(sim.joints[:, effectors, :], sim.fps) \
+        if effectors else np.zeros((0, 0, 3))
+
+    body_sum = 0.0
+    energy_sum = 0.0
+    for i in range(t):
+        sim_frame = {n: sim.joint_pose(i, j) for j, n in enumerate(names)}
+        ref_frame = {n: ref.joint_pose(i, j) for j, n in enumerate(names)}
+        sim_frame["object"] = sim.object_pose(i)
+        ref_frame["object"] = ref.object_pose(i)
+        body_sum += body_reward(sim_frame, ref_frame, weights, active_object="object")
+        if effectors and 1 <= i <= t - 2:
+            energy_sum += energy_reward(sim_accels[i - 1])
+        else:
+            energy_sum += 1.0
+    r_body = body_sum / t
+    r_hand = 1.0
+    r_energy = energy_sum / t
+    err = tracking_error(sim, ref)
+    return {
+        "frames": t,
+        "tracking_error": {"e_h_cm": err.e_h_cm, "e_o_cm": err.e_o_cm},
+        "reward": {
+            "r_body": r_body,
+            "r_hand": r_hand,
+            "r_energy": r_energy,
+            "total": BODY_WEIGHT * r_body + HAND_WEIGHT * r_hand + ENERGY_WEIGHT * r_energy,
+        },
+    }

@@ -8,11 +8,12 @@ so saves are byte-stable and load(save(x)) == x.
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import HoiplanError
-from .geometry import Pose, quat_rotate, quat_to_matrix
+from .geometry import Pose, matrix_to_quat, quat_rotate, rot6d_decode
 from .polygons import convex_hull
 
 
@@ -138,6 +139,9 @@ class MotionSequence:
     def object_pose(self, t: int) -> Pose:
         return Pose(self.object_pos[t], self.object_quat[t])
 
+    def joint_pose(self, t: int, j: int) -> Pose:
+        return Pose(self.joints[t, j], matrix_to_quat(rot6d_decode(self.joint_rot6d[t, j])))
+
 
 # ---------------------------------------------------------------------------
 # box geometry
@@ -180,7 +184,33 @@ def footprint_circumradius(obj: ObjectSpec, orientation) -> float:
 
 
 # ---------------------------------------------------------------------------
-# JSON helpers
+# file and JSON boundary: every loader and saver in the package goes through here
+
+def read_text(path) -> str:
+    """A file's contents decoded as UTF-8; any other encoding is a SchemaError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"file is not UTF-8: {e}", "") from e
+
+
+def loads(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"invalid JSON: {e}", "") from e
+
+
+def dump_json(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def write_text(path, text: str):
+    """Write UTF-8 text, creating missing parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
 
 def _require(cond: bool, message: str, path: str):
     if not cond:
@@ -219,10 +249,7 @@ def _pose_to_json(pose: Pose) -> dict:
 # scene I/O
 
 def parse_scene_json(text: str) -> Scene:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise SchemaError(f"invalid JSON: {e}", "") from e
+    doc = loads(text)
     bounds = _floats(_get(doc, "bounds", ""), 4, "/bounds")
     north = _floats(_get(doc, "north", ""), 2, "/north")
     raw_objects = _get(doc, "objects", "")
@@ -270,28 +297,19 @@ def scene_to_json(scene: Scene) -> dict:
     }
 
 
-def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def load_scene(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_scene_json(f.read())
+    return parse_scene_json(read_text(path))
 
 
 def save_scene(scene: Scene, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dump_json(scene_to_json(scene)))
+    write_text(path, dump_json(scene_to_json(scene)))
 
 
 # ---------------------------------------------------------------------------
 # motion I/O
 
 def parse_motion_json(text: str) -> MotionSequence:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise SchemaError(f"invalid JSON: {e}", "") from e
+    doc = loads(text)
     fps = _get(doc, "fps", "")
     _require(isinstance(fps, int) and not isinstance(fps, bool) and fps > 0,
              "fps must be a positive integer", "/fps")
@@ -343,10 +361,8 @@ def motion_to_json(motion: MotionSequence) -> dict:
 
 
 def load_motion(path) -> MotionSequence:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_motion_json(f.read())
+    return parse_motion_json(read_text(path))
 
 
 def save_motion(motion: MotionSequence, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dump_json(motion_to_json(motion)))
+    write_text(path, dump_json(motion_to_json(motion)))

@@ -203,17 +203,17 @@ class TestScoreCommand:
 
 
 class TestPostprocessCommand:
-    def run_postprocess(self, tmp_path, motion, grasp, extra=()):
+    def run_postprocess(self, tmp_path, motion, grasp, extra=(), out="out.json"):
         save_motion(motion, tmp_path / "motion.json")
         (tmp_path / "grasp.json").write_text(
             json.dumps(grasps_to_json({"left": None, "right": grasp})))
+        out = tmp_path / out
         rc = main(["postprocess", "--motion", str(tmp_path / "motion.json"),
                    "--grasp", str(tmp_path / "grasp.json"),
-                   "--out", str(tmp_path / "out.json"),
+                   "--out", str(out),
                    "--wrist-joints", ",3", "--arm-chains", ";1,2,3", *extra])
         assert rc == 0
-        return load_motion(tmp_path / "out.json"), \
-            json.loads((tmp_path / "out.diagnostics.json").read_text())
+        return load_motion(out), json.loads(out.with_suffix(".diagnostics.json").read_text())
 
     def test_object_static_outside_contact(self, tmp_path):
         motion, grasp = build_interaction_motion()
@@ -237,6 +237,12 @@ class TestPostprocessCommand:
             rel_q = quat_multiply(quat_conjugate(obj_q), wrist_q)
             assert np.linalg.norm(rel_pos - grasp.wrist_pose.position) <= 1e-9
             assert quat_geodesic_angle(rel_q, grasp.wrist_pose.orientation) <= 1e-9
+
+    def test_out_into_missing_directory(self, tmp_path):
+        motion, grasp = build_interaction_motion()
+        out, diag = self.run_postprocess(tmp_path, motion, grasp, out="new/dir/out.json")
+        assert out.num_frames == motion.num_frames
+        assert diag["segmentation"]["right"]["contact"] == [30, 60]
 
     def test_boundary_jump_reduced(self, tmp_path):
         motion, grasp = build_interaction_motion(noise=0.05)
@@ -284,3 +290,47 @@ class TestRouteCommand:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "planner.no_path"
+
+
+class TestNonUtf8Input:
+    """Every file the CLI reads is decoded as UTF-8 at one boundary; a file
+    that is not UTF-8 is a structured schema error, never a traceback."""
+
+    @pytest.mark.parametrize("slot", ["plan-scene", "plan-fixture", "render-scene-map",
+                                      "render-plan", "score-ref", "score-weights",
+                                      "postprocess-motion", "postprocess-grasp"])
+    def test_exits_1_with_schema_error(self, slot, workspace_files, tmp_path, capsys):
+        motion, grasp = build_interaction_motion(t=9)
+        save_motion(motion, tmp_path / "motion.json")
+        (tmp_path / "grasp.json").write_text(
+            json.dumps(grasps_to_json({"left": None, "right": grasp})))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"id": "\xff"}\n')
+        if slot == "plan-fixture":
+            for fixture in workspace_files["fixtures"].glob("*.txt"):
+                fixture.write_bytes(b"```relations\n\xff\n```\n")
+        scene, motion_path, grasp_path = (str(workspace_files["scene"]),
+                                          str(tmp_path / "motion.json"),
+                                          str(tmp_path / "grasp.json"))
+
+        def plan(scene_path):
+            return ["plan", scene_path, "--instruction", workspace_files["instruction"],
+                    "--backend", "mock", "--fixtures", str(workspace_files["fixtures"]),
+                    "--out", str(tmp_path / "out")]
+        argv = {
+            "plan-scene": plan(str(bad)),
+            "plan-fixture": plan(scene),
+            "render-scene-map": ["render", scene, str(bad), "--out", str(tmp_path / "a.svg")],
+            "render-plan": ["render", scene, "--plan", str(bad), "--out", str(tmp_path / "a.svg")],
+            "score-ref": ["score", "--ref", str(bad), "--sim", motion_path],
+            "score-weights": ["score", "--ref", motion_path, "--sim", motion_path,
+                              "--weights", str(bad)],
+            "postprocess-motion": ["postprocess", "--motion", str(bad), "--grasp", grasp_path,
+                                   "--out", str(tmp_path / "o.json")],
+            "postprocess-grasp": ["postprocess", "--motion", motion_path, "--grasp", str(bad),
+                                  "--out", str(tmp_path / "o.json")],
+        }[slot]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["code"] == "scene.schema_error"

@@ -212,6 +212,10 @@ class TestHttpBackend:
         assert backend.model == "m1"
         assert backend.timeout == 12.5
 
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ValueError):
+            HttpBackend(url="http://example.test/llm", model="m", retries=-1)
+
     def test_from_env_requires_url(self, monkeypatch):
         monkeypatch.delenv(llm.ENV_URL, raising=False)
         with pytest.raises(Transport):

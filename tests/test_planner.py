@@ -42,10 +42,13 @@ class TestAstar:
 
     def test_start_and_goal_occupied(self):
         grid = grid_from_rows(["#.", ".."])
-        with pytest.raises(StartOccupied):
+        with pytest.raises(StartOccupied) as start:
             astar(grid, (0.5, 1.5), (1.5, 1.5))
-        with pytest.raises(GoalOccupied):
-            astar(grid, (0.5, 0.5), (0.5, 1.5))
+        with pytest.raises(GoalOccupied) as goal:
+            astar(grid, np.array([0.5, 0.5]), np.array([0.5, 1.5]))
+        # coordinates print as plain floats, not numpy reprs
+        assert str(start.value) == "start (0.5, 1.5) is occupied"
+        assert str(goal.value) == "goal (0.5, 1.5) is occupied"
 
     def test_no_corner_cutting(self):
         # the diagonal between two occupied cells must be avoided
@@ -263,6 +266,15 @@ class TestPlanRoutes:
         plan = plan_routes(scene, scene_map, [step("block")], resolution=0.1,
                            agent_start=(0.55, 0.0))
         assert plan.steps[0].route == []
+
+    def test_occupied_agent_message_prints_plain_floats(self):
+        scene = Scene([box("block", 0.2, 0.2, 0.2, pos=(0.0, 0.0, 0.2)),
+                       box("pillar", 0.3, 0.3, 1.0, static=True, pos=(2.0, 2.0, 1.0))],
+                      bounds=np.array([-3.0, -3.0, 3.0, 3.0]))
+        with pytest.raises(StartOccupied) as e:
+            plan_routes(scene, solve(scene, [], seed=0), [step("block")], resolution=0.1,
+                        agent_start=(2.0, 2.0))
+        assert str(e.value) == "agent position (2.0, 2.0) is occupied"
 
     def test_routes_end_near_targets(self):
         scene = workspace_scene()

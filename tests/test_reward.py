@@ -254,6 +254,23 @@ def test_finite_difference_accels():
     assert np.allclose(accels, a_true, atol=1e-6)
 
 
+@pytest.mark.parametrize("doc, path", [
+    ({"w_q": [1], "w_p": {}}, "/w_q"),
+    ({"w_q": {"root": "x"}, "w_p": {}}, "/w_q/root"),
+    ({"w_q": {"root": True}, "w_p": {}}, "/w_q/root"),
+    ({"w_q": {"root": 1.0}, "w_p": {"left_wrist": None}}, "/w_p/left_wrist"),
+    ({"w_q": {}, "w_p": 3}, "/w_p"),
+])
+def test_weights_tables_must_map_names_to_numbers(tmp_path, doc, path):
+    import json as _json
+    from hoiplan.reward import load_weights
+    from hoiplan.scene import SchemaError
+    (tmp_path / "weights.json").write_text(_json.dumps(doc))
+    with pytest.raises(SchemaError) as e:
+        load_weights(tmp_path / "weights.json")
+    assert e.value.path == path
+
+
 def test_weights_json_round_trip(tmp_path):
     from hoiplan.reward import load_weights
     import json as _json
