@@ -7,6 +7,7 @@ down to the output bytes.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,11 +26,32 @@ from .scene import dump_json, load_motion, load_scene, save_motion, write_text
 from .svg import render_scene_svg
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a number greater than 0, got {text!r}")
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a number of at least 0, got {text!r}")
+    return value
+
+
 def _parse_xy(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected 'x,y'")
-    return np.array([float(parts[0]), float(parts[1])])
+    return np.array([_finite(parts[0]), _finite(parts[1])])
 
 
 def _parse_pair(text: str):
@@ -156,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixtures", help="fixture directory for the mock backend")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
-    p.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION)
-    p.add_argument("--agent-radius", type=float, default=DEFAULT_AGENT_RADIUS)
+    p.add_argument("--resolution", type=_positive, default=DEFAULT_RESOLUTION)
+    p.add_argument("--agent-radius", type=_nonnegative, default=DEFAULT_AGENT_RADIUS)
     p.add_argument("--agent-start", type=_parse_xy, default=None)
     p.set_defaults(func=cmd_plan)
 
@@ -191,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene")
     p.add_argument("--start", type=_parse_xy, required=True)
     p.add_argument("--goal", type=_parse_xy, required=True)
-    p.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION)
-    p.add_argument("--agent-radius", type=float, default=DEFAULT_AGENT_RADIUS)
-    p.add_argument("--stride", type=float, default=DEFAULT_STRIDE)
+    p.add_argument("--resolution", type=_positive, default=DEFAULT_RESOLUTION)
+    p.add_argument("--agent-radius", type=_nonnegative, default=DEFAULT_AGENT_RADIUS)
+    p.add_argument("--stride", type=_nonnegative, default=DEFAULT_STRIDE)
     p.add_argument("--out")
     p.set_defaults(func=cmd_route)
     return parser

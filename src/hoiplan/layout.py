@@ -101,18 +101,23 @@ class SceneMapEntry:
 class SceneMap:
     entries: list[SceneMapEntry]
 
-    def entry(self, object_id: str) -> SceneMapEntry:
+    def __post_init__(self):
+        self._index: dict[str, SceneMapEntry] = {}
         for e in self.entries:
-            if e.object_id == object_id:
-                return e
-        raise UnknownObject(f"no scene-map entry for {object_id!r}", id=object_id)
+            self._index.setdefault(e.object_id, e)  # on a duplicate id the first wins
+
+    def entry(self, object_id: str) -> SceneMapEntry:
+        e = self._index.get(object_id)
+        if e is None:
+            raise UnknownObject(f"no scene-map entry for {object_id!r}", id=object_id)
+        return e
 
     def pose(self, object_id: str) -> Pose:
         e = self.entry(object_id)
         return Pose(e.position, e.orientation)
 
     def has(self, object_id: str) -> bool:
-        return any(e.object_id == object_id for e in self.entries)
+        return object_id in self._index
 
 
 def scene_map_to_json(scene_map: SceneMap) -> dict:

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HoiplanError
-from .geometry import (Pose, quat_conjugate, quat_from_axis_angle, quat_geodesic_angle,
-                       quat_multiply, quat_normalize, quat_rotate, quat_to_axis_angle,
-                       quat_to_matrix, rot6d_encode)
+from .geometry import (Pose, compose, quat_conjugate, quat_from_axis_angle,
+                       quat_geodesic_angle, quat_multiply, quat_normalize, quat_rotate,
+                       quat_to_axis_angle, quat_to_matrix, rot6d_encode)
 from .scene import MotionSequence, SchemaError, loads, read_text
 
 CONTACT_THRESHOLD = 0.5
@@ -284,9 +284,7 @@ def smooth_boundary(traj, boundary: int, window: int, static_pose: Pose,
 
 def grasp_world_pose(object_pose: Pose, grasp: GraspPose) -> Pose:
     """Wrist world pose implied by the grasp rigidly attached to the object."""
-    q = quat_multiply(object_pose.orientation, grasp.wrist_pose.orientation)
-    p = quat_rotate(object_pose.orientation, grasp.wrist_pose.position) + object_pose.position
-    return Pose(p, q)
+    return compose(object_pose, grasp.wrist_pose)
 
 
 def recompute_wrist(object_traj, wrist_traj, grasp: GraspPose, contact: tuple[int, int],
@@ -307,13 +305,9 @@ def recompute_wrist(object_traj, wrist_traj, grasp: GraspPose, contact: tuple[in
     for i in range(s, e):
         out[i] = grasp_world_pose(object_traj[i], grasp)
     if s > 0:
-        delta = pose_delta(out[s], wrist_traj[s])
-        head = ramp_poses(wrist_traj[:s + 1], s, window, delta, direction="backward")
-        out[:s] = head[:s]
+        out[:s] = smooth_boundary(wrist_traj, s, window, out[s], direction="backward")[:s]
     if e < t:
-        delta = pose_delta(out[e - 1], wrist_traj[e - 1])
-        tail = ramp_poses(wrist_traj, e - 1, window, delta, direction="forward")
-        out[e:] = tail[e:]
+        out[e:] = smooth_boundary(wrist_traj, e - 1, window, out[e - 1], direction="forward")[e:]
     return out
 
 
@@ -431,13 +425,16 @@ class IkResult:
     residual_history: list[float]
 
 
-def _fk(chain: IkChain, rotations) -> np.ndarray:
+def _fk(chain: IkChain, rotations) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Joint positions plus end effector, and each joint's parent frame."""
     pts = [chain.base]
+    frames = []
     frame = np.array([1.0, 0.0, 0.0, 0.0])
     for length, q in zip(chain.lengths, rotations):
+        frames.append(frame)
         frame = quat_multiply(frame, q)
         pts.append(pts[-1] + quat_rotate(frame, np.array([length, 0.0, 0.0])))
-    return np.array(pts)
+    return np.array(pts), frames
 
 
 def _align_quat(v_from, v_to) -> np.ndarray:
@@ -475,30 +472,26 @@ def ik_solve(chain: IkChain, target, initial_rotations=None, max_iters: int = 10
     rotations = [quat_normalize(q) for q in initial_rotations] if initial_rotations \
         else [np.array([1.0, 0.0, 0.0, 0.0]) for _ in range(n)]
 
-    pts = _fk(chain, rotations)
+    pts, frames = _fk(chain, rotations)
     residual = float(np.linalg.norm(pts[-1] - target_pos))
     history = [residual]
     iterations = 0
     while residual > tol and iterations < max_iters:
         for i in range(n - 1, -1, -1):
-            pts = _fk(chain, rotations)
             pivot = pts[i]
             v1 = pts[-1] - pivot
             v2 = target_pos - pivot
             if np.linalg.norm(v1) < 1e-12 or np.linalg.norm(v2) < 1e-12:
                 continue
             g = _align_quat(v1, v2)
-            cum = np.array([1.0, 0.0, 0.0, 0.0])
-            for q in rotations[:i]:
-                cum = quat_multiply(cum, q)
-            local = quat_multiply(quat_multiply(quat_conjugate(cum), g), cum)
+            # g is a world-frame rotation; express it in joint i's parent frame
+            local = quat_multiply(quat_multiply(quat_conjugate(frames[i]), g), frames[i])
             rotations[i] = quat_normalize(quat_multiply(local, rotations[i]))
-        pts = _fk(chain, rotations)
+            pts, frames = _fk(chain, rotations)
         residual = float(np.linalg.norm(pts[-1] - target_pos))
         history.append(residual)
         iterations += 1
-    return IkResult(rotations, _fk(chain, rotations), residual, iterations,
-                    residual <= tol, history)
+    return IkResult(rotations, pts, residual, iterations, residual <= tol, history)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Step ordering, occupancy-grid rasterization, and A* waypoint routing.
 
-The A* search is 8-connected with sqrt(2) diagonal cost and an octile
-heuristic; diagonal moves may not cut corners past occupied cells. Ties break
-on lower heuristic first, then lexicographic (x, y), which makes every path
+The A* search is 8-connected only, with sqrt(2) diagonal cost; diagonal moves
+may not cut corners past occupied cells. Its heuristic is the octile distance
+to the bounding box of the goal set, which is admissible and consistent and
+equals the exact octile distance for a single goal. Ties break on lower
+heuristic first, then lexicographic (x, y), which makes every path
 byte-reproducible. Path costs are tracked as (straight, diagonal) move counts
 so optimality checks can compare costs exactly.
 """
@@ -96,6 +98,15 @@ class OccupancyGrid:
         return np.array([(x0, y0), (x0 + r, y0), (x0 + r, y0 + r), (x0, y0 + r)])
 
 
+def _window(grid: OccupancyGrid, poly: np.ndarray, margin: float) -> tuple[range, range]:
+    """Cell index ranges covering the polygon's bounding box grown by ``margin``."""
+    lo = grid.cell_of(poly.min(axis=0) - margin)
+    hi = grid.cell_of(poly.max(axis=0) + margin)
+    nx, ny = grid.shape
+    return (range(max(0, lo[0]), min(nx - 1, hi[0]) + 1),
+            range(max(0, lo[1]), min(ny - 1, hi[1]) + 1))
+
+
 def rasterize(scene: Scene, exclude=frozenset(), resolution: float = DEFAULT_RESOLUTION,
               agent_radius: float = DEFAULT_AGENT_RADIUS,
               poses: dict[str, Pose] | None = None) -> OccupancyGrid:
@@ -116,13 +127,10 @@ def rasterize(scene: Scene, exclude=frozenset(), resolution: float = DEFAULT_RES
         pose = poses[obj.id] if poses and obj.id in poses else obj.initial_pose
         poly = footprint(obj, pose)
         verts = [(float(x), float(y)) for x, y in poly]
-        min_xy = poly.min(axis=0) - agent_radius
-        max_xy = poly.max(axis=0) + agent_radius
-        lo = grid.cell_of(min_xy)
-        hi = grid.cell_of(max_xy)
-        for ix in range(max(0, lo[0]), min(nx - 1, hi[0]) + 1):
+        xs, ys = _window(grid, poly, agent_radius)
+        for ix in xs:
             cx = x0 + (ix + 0.5) * resolution
-            for iy in range(max(0, lo[1]), min(ny - 1, hi[1]) + 1):
+            for iy in ys:
                 if occupied[ix, iy]:
                     continue
                 # coarse center test decides all but the boundary band
@@ -152,64 +160,44 @@ class PathResult:
         return self.straight + self.diagonal * SQRT2
 
 
-def _octile(a, b) -> float:
-    dx = abs(a[0] - b[0])
-    dy = abs(a[1] - b[1])
-    return max(dx, dy) + (SQRT2 - 1.0) * min(dx, dy)
+# (dx, dy, diagonal); pops follow the (f, h, x, y) heap key, not this order
+_MOVES = ((1, 0, False), (-1, 0, False), (0, 1, False), (0, -1, False),
+          (1, 1, True), (1, -1, True), (-1, 1, True), (-1, -1, True))
 
 
-_DIAGONALS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-_STRAIGHTS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-
-def astar_cells(grid: OccupancyGrid, start: tuple[int, int], goals,
-                connectivity: int = 8) -> PathResult:
+def astar_cells(grid: OccupancyGrid, start: tuple[int, int], goals) -> PathResult:
     """Shortest path from a cell to the nearest of a set of goal cells.
 
-    Heuristic: octile distance (Manhattan for 4-connectivity) minimized over
-    the goal set, admissible for both connectivities. Raises NoPath when the
-    goal set is unreachable.
+    Heuristic: octile distance to the goal set's bounding box, which is
+    admissible, consistent and O(1) per node. Raises NoPath when the goal set
+    is unreachable.
     """
-    if connectivity not in (4, 8):
-        raise ValueError("connectivity must be 4 or 8")
     goal_set = {tuple(g) for g in goals}
     if not grid.is_free(start):
         raise StartOccupied(f"start cell {start} is occupied or out of bounds")
     if not goal_set:
         raise GoalOccupied("goal set is empty")
+    gx_min = min(g[0] for g in goal_set)
+    gx_max = max(g[0] for g in goal_set)
+    gy_min = min(g[1] for g in goal_set)
+    gy_max = max(g[1] for g in goal_set)
 
-    if len(goal_set) > 8:
-        # large goal sets: distance to their bounding box is admissible,
-        # consistent, and O(1) per node (goals cluster around a footprint)
-        gx_min = min(g[0] for g in goal_set)
-        gx_max = max(g[0] for g in goal_set)
-        gy_min = min(g[1] for g in goal_set)
-        gy_max = max(g[1] for g in goal_set)
-
-        def h(cell):
-            dx = max(0, gx_min - cell[0], cell[0] - gx_max)
-            dy = max(0, gy_min - cell[1], cell[1] - gy_max)
-            if connectivity == 8:
-                return max(dx, dy) + (SQRT2 - 1.0) * min(dx, dy)
-            return dx + dy
-    else:
-        def h(cell):
-            if connectivity == 8:
-                return min(_octile(cell, g) for g in goal_set)
-            return min(abs(cell[0] - g[0]) + abs(cell[1] - g[1]) for g in goal_set)
+    def h(x, y):
+        dx = max(0, gx_min - x, x - gx_max)
+        dy = max(0, gy_min - y, y - gy_max)
+        return max(dx, dy) + (SQRT2 - 1.0) * min(dx, dy)
 
     start = tuple(start)
     g_cost: dict[tuple[int, int], float] = {start: 0.0}
     counts = {start: (0, 0)}
     parent: dict[tuple[int, int], tuple[int, int]] = {}
-    h0 = h(start)
+    h0 = h(*start)
     heap = [(h0, h0, start[0], start[1])]
     closed = set()
     nx, ny = grid.shape
     occ = grid.occupied
     push = heapq.heappush
     pop = heapq.heappop
-    diagonal_moves = connectivity == 8
     while heap:
         f, hc, x, y = pop(heap)
         cell = (x, y)
@@ -224,33 +212,22 @@ def astar_cells(grid: OccupancyGrid, start: tuple[int, int], goals,
             return PathResult(cells, counts[cell][0], counts[cell][1])
         g_here = g_cost[cell]
         s_here, d_here = counts[cell]
-        for dx, dy in _STRAIGHTS:
+        for dx, dy, diagonal in _MOVES:
             px, py = x + dx, y + dy
-            if 0 <= px < nx and 0 <= py < ny and not occ[px, py]:
-                nxt = (px, py)
-                cand = g_here + 1.0
-                old = g_cost.get(nxt)
-                if old is None or cand < old - 1e-12:
-                    g_cost[nxt] = cand
-                    counts[nxt] = (s_here + 1, d_here)
-                    parent[nxt] = cell
-                    hn = h(nxt)
-                    push(heap, (cand + hn, hn, px, py))
-        if diagonal_moves:
-            for dx, dy in _DIAGONALS:
-                px, py = x + dx, y + dy
-                # no corner cutting: both orthogonal neighbors must be free
-                if (0 <= px < nx and 0 <= py < ny and not occ[px, py]
-                        and not occ[px, y] and not occ[x, py]):
-                    nxt = (px, py)
-                    cand = g_here + SQRT2
-                    old = g_cost.get(nxt)
-                    if old is None or cand < old - 1e-12:
-                        g_cost[nxt] = cand
-                        counts[nxt] = (s_here, d_here + 1)
-                        parent[nxt] = cell
-                        hn = h(nxt)
-                        push(heap, (cand + hn, hn, px, py))
+            if not (0 <= px < nx and 0 <= py < ny) or occ[px, py]:
+                continue
+            # no corner cutting: both orthogonal neighbors must be free
+            if diagonal and (occ[px, y] or occ[x, py]):
+                continue
+            nxt = (px, py)
+            cand = g_here + (SQRT2 if diagonal else 1.0)
+            old = g_cost.get(nxt)
+            if old is None or cand < old - 1e-12:
+                g_cost[nxt] = cand
+                counts[nxt] = (s_here, d_here + 1) if diagonal else (s_here + 1, d_here)
+                parent[nxt] = cell
+                hn = h(px, py)
+                push(heap, (cand + hn, hn, px, py))
     raise NoPath(f"no route from {start} to the goal set")
 
 
@@ -276,8 +253,7 @@ def downsample(waypoints, stride: float) -> list[tuple[float, float]]:
     return out
 
 
-def astar(grid: OccupancyGrid, start_xy, goal_xy,
-          connectivity: int = 8) -> list[tuple[float, float]]:
+def astar(grid: OccupancyGrid, start_xy, goal_xy) -> list[tuple[float, float]]:
     """Route between world positions; returns cell-center waypoints in meters."""
     start = grid.cell_of(start_xy)
     goal = grid.cell_of(goal_xy)
@@ -287,7 +263,7 @@ def astar(grid: OccupancyGrid, start_xy, goal_xy,
         raise GoalOccupied(f"goal {tuple(map(float, goal_xy))} is occupied")
     if start == goal:
         return [grid.center_of(start)]
-    result = astar_cells(grid, start, {goal}, connectivity)
+    result = astar_cells(grid, start, {goal})
     return [grid.center_of(c) for c in result.cells]
 
 
@@ -397,19 +373,10 @@ def _cells_near_footprint(grid: OccupancyGrid, poly: np.ndarray,
                           distance: float) -> set[tuple[int, int]]:
     """Free cells whose center lies within ``distance`` of the polygon."""
     verts = [(float(x), float(y)) for x, y in poly]
-    min_xy = poly.min(axis=0) - distance
-    max_xy = poly.max(axis=0) + distance
-    lo = grid.cell_of(min_xy)
-    hi = grid.cell_of(max_xy)
-    out = set()
-    for ix in range(max(0, lo[0]), min(grid.shape[0] - 1, hi[0]) + 1):
-        for iy in range(max(0, lo[1]), min(grid.shape[1] - 1, hi[1]) + 1):
-            cell = (ix, iy)
-            if not grid.is_free(cell):
-                continue
-            if point_to_convex_distance(grid.center_of(cell), verts) <= distance:
-                out.add(cell)
-    return out
+    xs, ys = _window(grid, poly, distance)
+    return {(ix, iy) for ix in xs for iy in ys
+            if not grid.occupied[ix, iy]
+            and point_to_convex_distance(grid.center_of((ix, iy)), verts) <= distance}
 
 
 def plan_routes(scene: Scene, scene_map: SceneMap, steps: list[ActionStep],

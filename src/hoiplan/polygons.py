@@ -80,7 +80,7 @@ def polygon_contains(outer, inner, tol: float = 1e-9) -> bool:
     return all(point_in_convex(outer_v, v, tol) for v in _vertices(inner))
 
 
-def convex_intersects(a, b, tol: float = 0.0) -> bool:
+def convex_intersects(a, b) -> bool:
     """Separating-axis test for two convex polygons; touching counts as intersecting."""
     va = _vertices(a)
     vb = _vertices(b)
@@ -93,13 +93,8 @@ def convex_intersects(a, b, tol: float = 0.0) -> bool:
             ey = verts[(i + 1) % n][1] - verts[i][1]
             if ex * ex + ey * ey < 1e-24:
                 continue
-            # axis perpendicular to the edge (no need to normalize for a yes/no test
-            # with tol=0; normalize only when a tolerance is in play)
+            # axis perpendicular to the edge; a yes/no test needs no normalizing
             ax, ay = -ey, ex
-            if tol:
-                inv = 1.0 / math.hypot(ax, ay)
-                ax *= inv
-                ay *= inv
             amin = amax = va[0][0] * ax + va[0][1] * ay
             for x, y in va[1:]:
                 v = x * ax + y * ay
@@ -114,7 +109,7 @@ def convex_intersects(a, b, tol: float = 0.0) -> bool:
                     bmin = v
                 elif v > bmax:
                     bmax = v
-            if amax < bmin - tol or bmax < amin - tol:
+            if amax < bmin or bmax < amin:
                 return False
     return True
 

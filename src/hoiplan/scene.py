@@ -31,6 +31,14 @@ class DuplicateId(HoiplanError):
     code = "scene.duplicate_id"
 
 
+class ReadError(HoiplanError):
+    code = "io.read_error"
+
+
+class WriteError(HoiplanError):
+    code = "io.write_error"
+
+
 # ---------------------------------------------------------------------------
 # data model
 
@@ -192,13 +200,22 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise SchemaError(f"file is not UTF-8: {e}", "") from e
+    except OSError as e:
+        raise ReadError(f"cannot read {str(path)!r}: {e.strerror or e}", path=str(path)) from e
+
+
+def _reject_constant(name: str):
+    raise SchemaError(f"non-finite number {name} is not allowed", "")
 
 
 def loads(text: str):
+    """Parse JSON; NaN and Infinity tokens and over-deep nesting are SchemaErrors."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
+        return json.loads(text, parse_constant=_reject_constant)
+    except ValueError as e:  # JSONDecodeError, or an integer too long to convert
         raise SchemaError(f"invalid JSON: {e}", "") from e
+    except RecursionError as e:
+        raise SchemaError("invalid JSON: nested too deeply", "") from e
 
 
 def dump_json(doc: dict) -> str:
@@ -208,8 +225,11 @@ def dump_json(doc: dict) -> str:
 def write_text(path, text: str):
     """Write UTF-8 text, creating missing parent directories."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise WriteError(f"cannot write {str(path)!r}: {e.strerror or e}", path=str(path)) from e
 
 
 def _require(cond: bool, message: str, path: str):

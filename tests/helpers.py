@@ -25,8 +25,8 @@ def grid_from_rows(rows, resolution=1.0):
     return OccupancyGrid(resolution, np.zeros(2), occ)
 
 
-def dijkstra_oracle(grid, start, goal, connectivity=8):
-    """Independent pair-cost Dijkstra used to certify A* optimality.
+def dijkstra_oracle(grid, start, goal):
+    """Independent 8-connected pair-cost Dijkstra used to certify A* optimality.
 
     Returns (straight, diagonal) move counts of a cheapest path, or None when
     the goal is unreachable.
@@ -42,10 +42,7 @@ def dijkstra_oracle(grid, start, goal, connectivity=8):
         if cell == goal:
             return dist[cell]
         x, y = cell
-        moves = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-        if connectivity == 8:
-            moves += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-        for dx, dy in moves:
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
             nxt = (x + dx, y + dy)
             if not grid.is_free(nxt):
                 continue

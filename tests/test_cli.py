@@ -11,7 +11,7 @@ from hoiplan.geometry import Pose, matrix_to_quat, quat_conjugate, quat_geodesic
 from hoiplan.layout import load_scene_map
 from hoiplan.motion import grasps_to_json
 from hoiplan.planner import load_plan
-from hoiplan.scene import dump_json, load_motion, save_motion, save_scene
+from hoiplan.scene import dump_json, load_motion, motion_to_json, save_motion, save_scene
 
 
 class TestPlanCommand:
@@ -334,3 +334,69 @@ class TestNonUtf8Input:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert json.loads(err)["error"]["code"] == "scene.schema_error"
+
+
+class TestBoundaryErrors:
+    """Non-finite numbers and unreadable or unwritable paths exit 1 with a
+    structured JSON payload on stderr, never a traceback."""
+
+    def run_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return json.loads(err)["error"]
+
+    def test_nan_weight_is_schema_error(self, tmp_path, capsys):
+        from hoiplan.reward import DEFAULT_BODY_WEIGHTS, weights_to_json
+        save_motion(build_interaction_motion(t=9)[0], tmp_path / "ref.json")
+        weights = weights_to_json(DEFAULT_BODY_WEIGHTS)
+        weights["w_q"][next(iter(weights["w_q"]))] = float("nan")
+        (tmp_path / "weights.json").write_text(json.dumps(weights))
+        ref = str(tmp_path / "ref.json")
+        error = self.run_error(["score", "--ref", ref, "--sim", ref,
+                                "--weights", str(tmp_path / "weights.json")], capsys)
+        assert error["code"] == "scene.schema_error"
+
+    def test_nan_joint_is_schema_error(self, tmp_path, capsys):
+        save_motion(build_interaction_motion(t=9)[0], tmp_path / "ref.json")
+        doc = motion_to_json(build_interaction_motion(t=9)[0])
+        doc["frames"][4]["joints"][1][2] = float("nan")
+        (tmp_path / "sim.json").write_text(json.dumps(doc))
+        error = self.run_error(["score", "--ref", str(tmp_path / "ref.json"),
+                                "--sim", str(tmp_path / "sim.json")], capsys)
+        assert error["code"] == "scene.schema_error"
+
+    def test_missing_input_is_read_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        error = self.run_error(["score", "--ref", missing, "--sim", missing], capsys)
+        assert error["code"] == "io.read_error"
+        assert error["detail"] == {"path": missing}
+
+    def test_out_below_a_regular_file_is_write_error(self, tmp_path, capsys):
+        save_motion(build_interaction_motion(t=9)[0], tmp_path / "ref.json")
+        (tmp_path / "file").write_text("not a directory")
+        out = str(tmp_path / "file" / "report.json")
+        ref = str(tmp_path / "ref.json")
+        error = self.run_error(["score", "--ref", ref, "--sim", ref, "--out", out], capsys)
+        assert error["code"] == "io.write_error"
+        assert error["detail"] == {"path": out}
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("route", ["--resolution", "0"]), ("route", ["--resolution", "nan"]),
+    ("route", ["--resolution", "-1"]), ("route", ["--resolution", "inf"]),
+    ("route", ["--start=nan,0"]), ("route", ["--goal=0,inf"]),
+    ("route", ["--agent-radius", "-5"]), ("route", ["--agent-radius", "nan"]),
+    ("route", ["--stride", "-1"]), ("route", ["--stride", "inf"]),
+    ("plan", ["--resolution", "0"]), ("plan", ["--agent-radius", "-0.1"]),
+    ("plan", ["--agent-start=inf,0"])])
+def test_invalid_numeric_flag_is_usage_error(command, flags, workspace_files, capsys):
+    scene = str(workspace_files["scene"])
+    argv = {"route": ["route", scene, "--start=-4,-4", "--goal=4,4"],
+            "plan": ["plan", scene, "--instruction", workspace_files["instruction"],
+                     "--fixtures", str(workspace_files["fixtures"]),
+                     "--out", str(workspace_files["out"])]}[command]
+    with pytest.raises(SystemExit) as e:
+        main(argv + flags)
+    assert e.value.code == 2
+    assert flags[0].split("=")[0] in capsys.readouterr().err

@@ -211,6 +211,16 @@ class TestSolve:
         again = parse_scene_map_json(text)
         assert dump_json(scene_map_to_json(again)) == text
 
+    def test_scene_map_lookup_first_entry_wins(self):
+        first = SceneMapEntry("cup", np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
+        second = SceneMapEntry("cup", np.ones(3), np.array([1.0, 0.0, 0.0, 0.0]))
+        scene_map = SceneMap([first, second])
+        assert scene_map.entry("cup") is first
+        assert np.array_equal(scene_map.pose("cup").position, np.zeros(3))
+        assert scene_map.has("cup") and not scene_map.has("mug")
+        with pytest.raises(UnknownObject):
+            scene_map.entry("mug")
+
 
 class TestGeometricAccuracy:
     def test_solver_output_scores_zero(self):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from helpers import box, dijkstra_oracle, grid_from_rows, workspace_relations, \
     workspace_scene
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoiplan.layout import CycleDetected, solve
 from hoiplan.planner import (SQRT2, DuplicateStep, ExecutionPlan, GoalOccupied, MissingStep,
@@ -18,13 +20,6 @@ from hoiplan.scene import Scene, dump_json, footprint
 
 
 class TestAstar:
-    def test_empty_3x3_corner_to_corner_4_connected(self):
-        grid = grid_from_rows(["...", "...", "..."])
-        result = astar_cells(grid, (0, 0), {(2, 2)}, connectivity=4)
-        assert result.straight == 4 and result.diagonal == 0
-        assert result.cost == pytest.approx(4.0)
-        assert dijkstra_oracle(grid, (0, 0), (2, 2), connectivity=4) == (4, 0)
-
     def test_empty_3x3_corner_to_corner_8_connected(self):
         grid = grid_from_rows(["...", "...", "..."])
         result = astar_cells(grid, (0, 0), {(2, 2)})
@@ -98,6 +93,42 @@ class TestAstar:
         grid = grid_from_rows(["....", "....", "....", "...."])
         result = astar_cells(grid, (0, 0), {(3, 3), (1, 0)})
         assert result.cells[-1] == (1, 0)
+
+
+@st.composite
+def multi_goal_cases(draw):
+    """A random grid up to 8x8 with a free start and 2-8 distinct free goals."""
+    nx = draw(st.integers(2, 8))
+    ny = draw(st.integers(2, 8))
+    percent_occupied = draw(st.integers(0, 60))
+    occ = np.array(draw(st.lists(st.integers(0, 99).map(lambda v: v < percent_occupied),
+                                 min_size=nx * ny, max_size=nx * ny)),
+                   dtype=bool).reshape(nx, ny)
+    cells = draw(st.lists(st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1)),
+                          min_size=3, max_size=9, unique=True))
+    for c in cells:
+        occ[c] = False
+    return OccupancyGrid(1.0, np.zeros(2), occ), cells[0], cells[1:]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(multi_goal_cases())
+def test_multi_goal_astar_matches_dijkstra(case):
+    grid, start, goals = case
+    reachable = [c for c in (dijkstra_oracle(grid, start, g) for g in goals) if c is not None]
+    try:
+        result = astar_cells(grid, start, set(goals))
+    except NoPath:
+        assert reachable == []
+        return
+    assert (result.straight, result.diagonal) == min(reachable, key=lambda c: c[0] + c[1] * SQRT2)
+    assert result.cells[0] == start
+    assert result.cells[-1] in goals
+    for c in result.cells:
+        assert grid.is_free(c)
+    steps = [(abs(a[0] - b[0]), abs(a[1] - b[1])) for a, b in zip(result.cells, result.cells[1:])]
+    assert all(max(step) == 1 for step in steps)
+    assert sum(min(step) for step in steps) == result.diagonal
 
 
 class TestDownsample:

@@ -67,6 +67,20 @@ class TestSceneIO:
         with pytest.raises(SchemaError):
             parse_scene_json("{not json")
 
+    @pytest.mark.parametrize("text", ["[" * 100000, "[" + "9" * 5000 + "]"],
+                             ids=["nested-too-deeply", "integer-too-long"])
+    def test_unparseable_document_is_schema_error(self, text):
+        with pytest.raises(SchemaError):
+            parse_scene_json(text)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_is_schema_error(self, token):
+        doc = scene_to_json(small_scene())
+        doc["bounds"][2] = float(token)  # stdlib json writes it as the bare token
+        with pytest.raises(SchemaError) as e:
+            parse_scene_json(json.dumps(doc))
+        assert token in str(e.value)
+
     def test_bad_half_extents(self):
         doc = {"bounds": [0, 0, 1, 1], "north": [0, 1],
                "objects": [{"id": "a", "half_extents": [0, 1, 1],
