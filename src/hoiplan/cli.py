@@ -54,11 +54,22 @@ def _parse_xy(text: str) -> np.ndarray:
     return np.array([_finite(parts[0]), _finite(parts[1])])
 
 
+def _joint_index(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a joint index, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"joint index must not be negative, got {text!r}")
+    return value
+
+
 def _parse_pair(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected 'left,right' joint indices")
-    return {hand: int(p) for hand, p in zip(("left", "right"), parts) if p.strip() != ""}
+    return {hand: _joint_index(p) for hand, p in zip(("left", "right"), parts)
+            if p.strip() != ""}
 
 
 def _parse_chains(text: str):
@@ -67,7 +78,7 @@ def _parse_chains(text: str):
         chunk = chunk.strip()
         if not chunk:
             continue
-        idx = [int(v) for v in chunk.split(",")]
+        idx = [_joint_index(v) for v in chunk.split(",")]
         if len(idx) != 3:
             raise argparse.ArgumentTypeError("each chain is 'shoulder,elbow,wrist'")
         chains[hand] = tuple(idx)
@@ -136,11 +147,9 @@ def cmd_score(args) -> int:
 def cmd_postprocess(args) -> int:
     motion = load_motion(args.motion)
     grasps = load_grasps(args.grasp)
-    wrist_joints = _parse_pair(args.wrist_joints) if args.wrist_joints else None
-    arm_chains = _parse_chains(args.arm_chains) if args.arm_chains else None
     out_motion, diagnostics = postprocess_motion(
         motion, grasps, threshold=args.threshold, min_run=args.min_run,
-        window=args.window, wrist_joints=wrist_joints, arm_chains=arm_chains)
+        window=args.window, wrist_joints=args.wrist_joints, arm_chains=args.arm_chains)
     save_motion(out_motion, args.out)
     sidecar = Path(args.out).with_suffix(".diagnostics.json")
     write_text(sidecar, dump_json(diagnostics))
@@ -205,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--min-run", type=int, default=5)
     p.add_argument("--window", type=int, default=15)
-    p.add_argument("--wrist-joints", help="'left,right' wrist joint indices")
-    p.add_argument("--arm-chains", help="'ls,le,lw;rs,re,rw' joint index chains")
+    p.add_argument("--wrist-joints", type=_parse_pair, help="'left,right' wrist joint indices")
+    p.add_argument("--arm-chains", type=_parse_chains,
+                   help="'ls,le,lw;rs,re,rw' joint index chains")
     p.set_defaults(func=cmd_postprocess)
 
     p = sub.add_parser("route", help="single collision-free route between two points")

@@ -19,7 +19,7 @@ from .errors import HoiplanError
 from .geometry import Pose, quat_from_yaw, quat_normalize, quat_rotate, quat_to_matrix
 from .polygons import polygon_centroid, polygon_contains
 from .relations import Adjacent, Facing, On, SpatialRelation, compass_vector
-from .scene import (Scene, SchemaError, bottom_height, dump_json, footprint,
+from .scene import (Scene, SchemaError, bottom_height, dump_json, finite, footprint,
                     footprint_circumradius, loads, read_text, resting_descent,
                     top_surface_height, write_text)
 
@@ -134,8 +134,8 @@ def parse_scene_map_json(text: str) -> SceneMap:
     entries = []
     for i, raw in enumerate(doc["entries"]):
         try:
-            entries.append(SceneMapEntry(raw["id"], np.array(raw["pos"], dtype=float),
-                                         np.array(raw["quat"], dtype=float)))
+            entries.append(SceneMapEntry(raw["id"], finite(raw["pos"], f"/entries/{i}/pos"),
+                                         finite(raw["quat"], f"/entries/{i}/quat")))
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad entry: {e}", f"/entries/{i}") from e
     return SceneMap(entries)

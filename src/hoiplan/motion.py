@@ -15,7 +15,7 @@ from .errors import HoiplanError
 from .geometry import (Pose, compose, quat_conjugate, quat_from_axis_angle,
                        quat_geodesic_angle, quat_multiply, quat_normalize, quat_rotate,
                        quat_to_axis_angle, quat_to_matrix, rot6d_encode)
-from .scene import MotionSequence, SchemaError, loads, read_text
+from .scene import MotionSequence, SchemaError, finite, loads, read_text
 
 CONTACT_THRESHOLD = 0.5
 CONTACT_MIN_RUN = 5      # frames; about a sixth of a second at 30 fps
@@ -35,6 +35,10 @@ class WindowOutOfRange(HoiplanError):
 
 class EmptyContact(HoiplanError):
     code = "motion.empty_contact"
+
+
+class JointOutOfRange(HoiplanError):
+    code = "motion.joint_out_of_range"
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +146,8 @@ def parse_grasps_json(text: str) -> dict[str, GraspPose | None]:
             out[hand] = None
             continue
         try:
-            pose = Pose(np.array(raw["pos"], dtype=float),
-                        np.array(raw["quat"], dtype=float))
-            fingers = np.array(raw["fingers"], dtype=float) if "fingers" in raw else None
+            pose = Pose(finite(raw["pos"], f"/{hand}/pos"), finite(raw["quat"], f"/{hand}/quat"))
+            fingers = finite(raw["fingers"], f"/{hand}/fingers") if "fingers" in raw else None
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad grasp: {e}", f"/{hand}") from e
         out[hand] = GraspPose(pose, fingers)
@@ -522,8 +525,15 @@ def postprocess_motion(motion: MotionSequence, grasps: dict[str, GraspPose | Non
     the contact phase remove the resulting seams. Hands with a grasp get
     their wrist joint rigidly recomputed from the object trajectory, with an
     optional per-arm CCD pass to keep the elbow consistent. Returns the new
-    sequence plus a diagnostics dict.
+    sequence plus a diagnostics dict. Raises JointOutOfRange for a wrist or
+    arm-chain index that names no joint of the motion.
     """
+    chains = (arm_chains or {}).values()
+    for j in [*(wrist_joints or {}).values(), *(j for chain in chains for j in chain)]:
+        if not 0 <= j < motion.num_joints:
+            raise JointOutOfRange(f"joint index {j} is outside the motion's "
+                                  f"{motion.num_joints} joints", index=j,
+                                  joints=motion.num_joints)
     t = motion.num_frames
     seg = segment_phases(motion.contact, threshold, min_run)
     span = object_contact_span(seg)

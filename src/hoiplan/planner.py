@@ -1,16 +1,24 @@
 """Step ordering, occupancy-grid rasterization, and A* waypoint routing.
 
+Rasterization and goal sets measure every cell of an object's bounding window
+at once with numpy, in the scalar kernels' operation order. np.hypot may still
+round apart from math.hypot in the last bit, so a cell whose distance lies
+within _TIE_GUARD of a threshold, or whose rectangle may overlap the
+footprint, is decided by the scalar kernels of polygons.py: the grid equals a
+per-cell scalar loop bit for bit.
+
 The A* search is 8-connected only, with sqrt(2) diagonal cost; diagonal moves
 may not cut corners past occupied cells. Its heuristic is the octile distance
 to the bounding box of the goal set, which is admissible and consistent and
 equals the exact octile distance for a single goal. Ties break on lower
 heuristic first, then lexicographic (x, y), which makes every path
-byte-reproducible. Path costs are tracked as (straight, diagonal) move counts
+byte-reproducible. Path costs are reported as (straight, diagonal) move counts
 so optimality checks can compare costs exactly.
 """
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +28,8 @@ from .geometry import Pose
 from .layout import CycleDetected, SceneMap, UnknownObject
 from .polygons import convex_distance, point_to_convex_distance
 from .relations import ActionStep, On, SpatialRelation
-from .scene import Scene, SchemaError, dump_json, footprint, loads, read_text, write_text
+from .scene import (Scene, SchemaError, dump_json, finite, footprint, loads, read_text,
+                    write_text)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -28,6 +37,11 @@ DEFAULT_RESOLUTION = 0.05
 DEFAULT_AGENT_RADIUS = 0.3
 APPROACH_DISTANCE = 1.0  # how close the agent must get before interacting
 DEFAULT_STRIDE = 1.0     # meters between emitted waypoints (walking speed x 1 s)
+MAX_GRID_CELLS = 1 << 24  # 4096 x 4096 cells: a 205 m square at the default resolution
+
+# A vectorized distance this close to a threshold is recomputed by the scalar
+# kernel: np.hypot and math.hypot may differ in the last bit.
+_TIE_GUARD = 1e-9
 
 
 class StartOccupied(HoiplanError):
@@ -40,6 +54,10 @@ class GoalOccupied(HoiplanError):
 
 class NoPath(HoiplanError):
     code = "planner.no_path"
+
+
+class GridTooLarge(HoiplanError):
+    code = "planner.grid_too_large"
 
 
 class MissingStep(HoiplanError):
@@ -107,42 +125,103 @@ def _window(grid: OccupancyGrid, poly: np.ndarray, margin: float) -> tuple[range
             range(max(0, lo[1]), min(ny - 1, hi[1]) + 1))
 
 
+def _segment_distance(ax, ay, bx, by, px, py) -> np.ndarray:
+    """``polygons._seg_point`` over broadcast arrays, in the same operation order."""
+    abx, aby = bx - ax, by - ay
+    denom = abx * abx + aby * aby
+    short = denom < 1e-18
+    t = ((px - ax) * abx + (py - ay) * aby) / np.where(short, 1.0, denom)
+    t = np.where(short, 0.0, np.clip(t, 0.0, 1.0))
+    return np.hypot(ax + t * abx - px, ay + t * aby - py)
+
+
+def _center_distance(grid: OccupancyGrid, poly: np.ndarray, xs: range, ys: range) -> np.ndarray:
+    """``point_to_convex_distance`` from every cell center of a window, as [ix, iy]."""
+    r = grid.resolution
+    px = (grid.origin[0] + (np.arange(xs.start, xs.stop) + 0.5) * r)[:, None, None]
+    py = (grid.origin[1] + (np.arange(ys.start, ys.stop) + 0.5) * r)[None, :, None]
+    ax, ay = poly[:, 0], poly[:, 1]
+    bx, by = np.roll(ax, -1), np.roll(ay, -1)
+    outside = ((bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0).any(axis=2)
+    return np.where(outside, _segment_distance(ax, ay, bx, by, px, py).min(axis=2), 0.0)
+
+
+def _rect_distance(grid: OccupancyGrid, poly: np.ndarray, ix: np.ndarray,
+                   iy: np.ndarray) -> np.ndarray:
+    """``convex_distance(grid.cell_rect(cell), poly)`` for cells known to be disjoint
+    from the polygon: the least distance of a cell corner to a footprint edge or
+    of a footprint vertex to a cell edge."""
+    x0 = grid.origin[0] + ix * grid.resolution
+    y0 = grid.origin[1] + iy * grid.resolution
+    x1, y1 = x0 + grid.resolution, y0 + grid.resolution
+    cx = np.stack([x0, x1, x1, x0], axis=1)[:, :, None]   # corners in cell_rect order
+    cy = np.stack([y0, y0, y1, y1], axis=1)[:, :, None]
+    ax, ay = poly[:, 0], poly[:, 1]
+    corners = _segment_distance(ax, ay, np.roll(ax, -1), np.roll(ay, -1), cx, cy)
+    vertices = _segment_distance(cx, cy, np.roll(cx, -1, axis=1), np.roll(cy, -1, axis=1),
+                                 ax, ay)
+    return np.minimum(corners.min(axis=(1, 2)), vertices.min(axis=(1, 2)))
+
+
+def _ties(d: np.ndarray, poly: np.ndarray, *thresholds: float) -> np.ndarray:
+    """Cells whose vectorized distance is too near a threshold to decide it."""
+    if len(poly) < 3:   # the vectorized inside test assumes a polygon
+        return np.ones(d.shape, dtype=bool)
+    tie = np.zeros(d.shape, dtype=bool)
+    for t in thresholds:
+        tie |= np.abs(d - t) <= _TIE_GUARD
+    return tie
+
+
 def rasterize(scene: Scene, exclude=frozenset(), resolution: float = DEFAULT_RESOLUTION,
               agent_radius: float = DEFAULT_AGENT_RADIUS,
               poses: dict[str, Pose] | None = None) -> OccupancyGrid:
     """Mark cells whose rectangle comes within ``agent_radius`` of any footprint.
 
     ``poses`` overrides object poses (defaults to each object's initial pose),
-    so the grid can be rebuilt as objects are relocated mid-plan.
+    so the grid can be rebuilt as objects are relocated mid-plan. Raises
+    GridTooLarge before allocating a grid of more than MAX_GRID_CELLS cells.
     """
     x0, y0, x1, y1 = scene.bounds
     nx = max(1, int(math.ceil((x1 - x0) / resolution - 1e-9)))
     ny = max(1, int(math.ceil((y1 - y0) / resolution - 1e-9)))
+    if nx * ny > MAX_GRID_CELLS:
+        raise GridTooLarge(f"a {nx} x {ny} grid exceeds {MAX_GRID_CELLS} cells",
+                           cells=nx * ny, limit=MAX_GRID_CELLS)
     occupied = np.zeros((nx, ny), dtype=bool)
     grid = OccupancyGrid(resolution, np.array([x0, y0]), occupied)
     half_diag = resolution * math.sqrt(0.5)
+    far = agent_radius + half_diag + 1e-12    # a center farther than this: free
+    near = agent_radius - half_diag           # a center this close: occupied
+    reach = agent_radius + 1e-12              # otherwise the cell's rectangle decides
+    # a cell whose center lies this close may overlap the footprint, and then
+    # only the scalar separating-axis test decides
+    touch = half_diag + _TIE_GUARD * max(1.0, float(np.abs(scene.bounds).max()))
     for obj in scene.objects:
         if obj.id in exclude:
             continue
         pose = poses[obj.id] if poses and obj.id in poses else obj.initial_pose
         poly = footprint(obj, pose)
-        verts = [(float(x), float(y)) for x, y in poly]
         xs, ys = _window(grid, poly, agent_radius)
-        for ix in xs:
-            cx = x0 + (ix + 0.5) * resolution
-            for iy in ys:
-                if occupied[ix, iy]:
-                    continue
-                # coarse center test decides all but the boundary band
-                center_d = point_to_convex_distance(
-                    (cx, y0 + (iy + 0.5) * resolution), verts)
-                if center_d > agent_radius + half_diag + 1e-12:
-                    continue
-                if center_d <= agent_radius - half_diag:
-                    occupied[ix, iy] = True
-                    continue
-                if convex_distance(grid.cell_rect((ix, iy)), verts) <= agent_radius + 1e-12:
-                    occupied[ix, iy] = True
+        d = _center_distance(grid, poly, xs, ys)
+        exact = _ties(d, poly, far, near)
+        hit = (d <= near) & ~exact
+        band = (d > near) & (d <= far) & ~exact
+        exact |= band & (d <= touch)
+        band &= ~exact
+        bx, by = np.nonzero(band)
+        rect_d = _rect_distance(grid, poly, bx + xs.start, by + ys.start)
+        rect_tie = _ties(rect_d, poly, reach)
+        hit[bx, by] = (rect_d <= reach) & ~rect_tie
+        exact[bx[rect_tie], by[rect_tie]] = True
+        if exact.any():
+            verts = [(float(x), float(y)) for x, y in poly]
+            for ix, iy in zip(*np.nonzero(exact)):
+                cell = (xs.start + int(ix), ys.start + int(iy))
+                d_cell = point_to_convex_distance(grid.center_of(cell), verts)
+                hit[ix, iy] = d_cell <= near or (
+                    d_cell <= far and convex_distance(grid.cell_rect(cell), verts) <= reach)
+        occupied[xs.start:xs.stop, ys.start:ys.stop] |= hit
     return grid
 
 
@@ -160,7 +239,7 @@ class PathResult:
         return self.straight + self.diagonal * SQRT2
 
 
-# (dx, dy, diagonal); pops follow the (f, h, x, y) heap key, not this order
+# (dx, dy, diagonal); pops follow the (f, h, cell) heap key, not this order
 _MOVES = ((1, 0, False), (-1, 0, False), (0, 1, False), (0, -1, False),
           (1, 1, True), (1, -1, True), (-1, 1, True), (-1, -1, True))
 
@@ -171,64 +250,71 @@ def astar_cells(grid: OccupancyGrid, start: tuple[int, int], goals) -> PathResul
     Heuristic: octile distance to the goal set's bounding box, which is
     admissible, consistent and O(1) per node. Raises NoPath when the goal set
     is unreachable.
+
+    The search runs on the grid padded by one occupied cell on every side and
+    flattened, so cell (x, y) is index (x + 1) * w + y + 1 with w = ny + 2.
+    That index orders cells exactly like (x, y), so the heap key (f, h, index)
+    pops nodes in the same order as (f, h, x, y).
     """
     goal_set = {tuple(g) for g in goals}
     if not grid.is_free(start):
         raise StartOccupied(f"start cell {start} is occupied or out of bounds")
     if not goal_set:
         raise GoalOccupied("goal set is empty")
-    gx_min = min(g[0] for g in goal_set)
-    gx_max = max(g[0] for g in goal_set)
-    gy_min = min(g[1] for g in goal_set)
-    gy_max = max(g[1] for g in goal_set)
-
-    def h(x, y):
-        dx = max(0, gx_min - x, x - gx_max)
-        dy = max(0, gy_min - y, y - gy_max)
-        return max(dx, dy) + (SQRT2 - 1.0) * min(dx, dy)
-
-    start = tuple(start)
-    g_cost: dict[tuple[int, int], float] = {start: 0.0}
-    counts = {start: (0, 0)}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    h0 = h(*start)
-    heap = [(h0, h0, start[0], start[1])]
-    closed = set()
     nx, ny = grid.shape
-    occ = grid.occupied
+    w = ny + 2
+    lo_x, hi_x = min(g[0] for g in goal_set), max(g[0] for g in goal_set)
+    lo_y, hi_y = min(g[1] for g in goal_set), max(g[1] for g in goal_set)
+    # per-axis distances to the goal set's bounding box, by padded coordinate
+    hx = [max(0, lo_x - x, x - hi_x) for x in range(-1, nx + 1)]
+    hy = [max(0, lo_y - y, y - hi_y) for y in range(-1, ny + 1)]
+    bend = SQRT2 - 1.0   # a diagonal step's cost beyond a straight one
+    blocked = bytearray(np.pad(grid.occupied, 1, constant_values=True).tobytes())
+    targets = {(x + 1) * w + y + 1 for x, y in goal_set if 0 <= x < nx and 0 <= y < ny}
+    # (index offset, step cost, offset of the x-side cell a diagonal must not cut
+    # or 0 for a straight move, dx, dy); the y-side cell is at offset dy
+    moves = [(mx * w + my, SQRT2 if diagonal else 1.0, mx * w if diagonal else 0, mx, my)
+             for mx, my, diagonal in _MOVES]
+
+    size = len(blocked)
+    g_cost = array("d", [math.inf]) * size
+    parent = array("q", [0]) * size
+    closed = bytearray(size)
+    first = int((start[0] + 1) * w + start[1] + 1)
+    g_cost[first] = 0.0
+    a, b = hx[start[0] + 1], hy[start[1] + 1]
+    h0 = a + bend * b if a > b else b + bend * a
+    heap = [(h0, h0, first)]
     push = heapq.heappush
     pop = heapq.heappop
     while heap:
-        f, hc, x, y = pop(heap)
-        cell = (x, y)
-        if cell in closed:
+        _, _, p = pop(heap)
+        if closed[p]:
             continue
-        closed.add(cell)
-        if cell in goal_set:
-            cells = [cell]
-            while cells[-1] != start:
-                cells.append(parent[cells[-1]])
-            cells.reverse()
-            return PathResult(cells, counts[cell][0], counts[cell][1])
-        g_here = g_cost[cell]
-        s_here, d_here = counts[cell]
-        for dx, dy, diagonal in _MOVES:
-            px, py = x + dx, y + dy
-            if not (0 <= px < nx and 0 <= py < ny) or occ[px, py]:
-                continue
+        closed[p] = 1
+        if p in targets:
+            path = [p]
+            while path[-1] != first:
+                path.append(parent[path[-1]])
+            cells = [(q // w - 1, q % w - 1) for q in reversed(path)]
+            diagonal = sum(a[0] != b[0] and a[1] != b[1] for a, b in zip(cells, cells[1:]))
+            return PathResult(cells, len(cells) - 1 - diagonal, diagonal)
+        g_here = g_cost[p]
+        x, y = divmod(p, w)
+        for off, step, side, mx, my in moves:
+            q = p + off
             # no corner cutting: both orthogonal neighbors must be free
-            if diagonal and (occ[px, y] or occ[x, py]):
+            if blocked[q] or (side and (blocked[p + side] or blocked[p + my])):
                 continue
-            nxt = (px, py)
-            cand = g_here + (SQRT2 if diagonal else 1.0)
-            old = g_cost.get(nxt)
-            if old is None or cand < old - 1e-12:
-                g_cost[nxt] = cand
-                counts[nxt] = (s_here, d_here + 1) if diagonal else (s_here + 1, d_here)
-                parent[nxt] = cell
-                hn = h(px, py)
-                push(heap, (cand + hn, hn, px, py))
-    raise NoPath(f"no route from {start} to the goal set")
+            cand = g_here + step
+            if cand < g_cost[q] - 1e-12:
+                g_cost[q] = cand
+                parent[q] = p
+                # octile distance: max(a, b) + (sqrt(2) - 1) * min(a, b)
+                a, b = hx[x + mx], hy[y + my]
+                hq = a + bend * b if a > b else b + bend * a
+                push(heap, (cand + hq, hq, q))
+    raise NoPath(f"no route from {tuple(start)} to the goal set")
 
 
 def downsample(waypoints, stride: float) -> list[tuple[float, float]]:
@@ -354,9 +440,10 @@ def parse_plan_json(text: str) -> ExecutionPlan:
     steps = []
     for i, raw in enumerate(doc["steps"]):
         try:
-            steps.append(PlanStep(raw["object"], raw["text"],
-                                  [(float(x), float(y)) for x, y in raw["route"]]))
-        except (KeyError, TypeError, ValueError) as e:
+            route = [(float(x), float(y)) for x, y in raw["route"]]
+            finite(route, f"/steps/{i}/route")
+            steps.append(PlanStep(raw["object"], raw["text"], route))
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise SchemaError(f"bad step: {e}", f"/steps/{i}") from e
     return ExecutionPlan(steps)
 
@@ -372,11 +459,18 @@ def load_plan(path) -> ExecutionPlan:
 def _cells_near_footprint(grid: OccupancyGrid, poly: np.ndarray,
                           distance: float) -> set[tuple[int, int]]:
     """Free cells whose center lies within ``distance`` of the polygon."""
-    verts = [(float(x), float(y)) for x, y in poly]
     xs, ys = _window(grid, poly, distance)
-    return {(ix, iy) for ix in xs for iy in ys
-            if not grid.occupied[ix, iy]
-            and point_to_convex_distance(grid.center_of((ix, iy)), verts) <= distance}
+    d = _center_distance(grid, poly, xs, ys)
+    exact = _ties(d, poly, distance)
+    near = (d <= distance) & ~exact
+    if exact.any():
+        verts = [(float(x), float(y)) for x, y in poly]
+        for ix, iy in zip(*np.nonzero(exact)):
+            cell = (xs.start + int(ix), ys.start + int(iy))
+            near[ix, iy] = point_to_convex_distance(grid.center_of(cell), verts) <= distance
+    near &= ~grid.occupied[xs.start:xs.stop, ys.start:ys.stop]
+    ix, iy = np.nonzero(near)
+    return set(zip((ix + xs.start).tolist(), (iy + ys.start).tolist()))
 
 
 def plan_routes(scene: Scene, scene_map: SceneMap, steps: list[ActionStep],

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import HoiplanError
 from .geometry import Pose, quat_geodesic_angle
-from .scene import MotionSequence, SchemaError, loads, read_text
+from .scene import MotionSequence, SchemaError, finite, loads, read_text
 
 BODY_WEIGHT = 0.8
 HAND_WEIGHT = 0.2
@@ -94,6 +94,7 @@ def _weight_table(raw, path: str) -> dict[str, float]:
     for name, v in raw.items():
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SchemaError("expected a number", f"{path}/{name}")
+    finite(list(raw.values()), path)
     return {name: float(v) for name, v in raw.items()}
 
 

@@ -7,6 +7,7 @@ so saves are byte-stable and load(save(x)) == x.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -249,14 +250,41 @@ def _floats(value, n: int, path: str) -> list[float]:
     for i, v in enumerate(value):
         _require(isinstance(v, (int, float)) and not isinstance(v, bool),
                  "expected a number", f"{path}/{i}")
-        out.append(float(v))
+        try:
+            out.append(float(v))
+        except OverflowError:  # an integer literal past the double range
+            raise SchemaError("number does not fit in a double", f"{path}/{i}") from None
     return out
+
+
+def finite(values, path: str) -> np.ndarray:
+    """``values`` as a float array, or a SchemaError at ``path`` if any is infinite.
+
+    JSON has no infinity, but a literal past the double range such as 1e999
+    parses as one. Checked once per array: a per-number check in Python would
+    dominate the parse of a motion file.
+    """
+    try:
+        arr = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise SchemaError("number does not fit in a double", path) from None
+    _require(bool(np.isfinite(arr).all()), "numbers must be finite", path)
+    return arr
+
+
+def _finite_rows(prefix: str, arrays: dict[str, np.ndarray]):
+    """``finite`` for per-row arrays; the error names the first bad row's field."""
+    for name, arr in arrays.items():
+        bad = ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+        if bad.any():
+            raise SchemaError("numbers must be finite", f"{prefix}/{int(bad.argmax())}/{name}")
 
 
 def _pose_from_json(value, path: str) -> Pose:
     pos = _floats(_get(value, "pos", path), 3, f"{path}/pos")
     quat = _floats(_get(value, "quat", path), 4, f"{path}/quat")
-    _require(abs(float(np.linalg.norm(quat))) > 1e-9, "quaternion norm is zero", f"{path}/quat")
+    _require(1e-9 < float(np.linalg.norm(quat)) < math.inf,
+             "quaternion norm must be finite and nonzero", f"{path}/quat")
     return Pose(np.array(pos), np.array(quat))
 
 
@@ -270,8 +298,8 @@ def _pose_to_json(pose: Pose) -> dict:
 
 def parse_scene_json(text: str) -> Scene:
     doc = loads(text)
-    bounds = _floats(_get(doc, "bounds", ""), 4, "/bounds")
-    north = _floats(_get(doc, "north", ""), 2, "/north")
+    bounds = finite(_floats(_get(doc, "bounds", ""), 4, "/bounds"), "/bounds")
+    north = finite(_floats(_get(doc, "north", ""), 2, "/north"), "/north")
     raw_objects = _get(doc, "objects", "")
     _require(isinstance(raw_objects, list), "expected a list", "/objects")
     objects = []
@@ -292,9 +320,12 @@ def parse_scene_json(text: str) -> Scene:
             pts = raw["points"]
             _require(isinstance(pts, list) and len(pts) > 0, "points must be a non-empty list",
                      f"{path}/points")
-            cloud = np.array([_floats(p, 3, f"{path}/points/{j}") for j, p in enumerate(pts)])
+            cloud = finite([_floats(p, 3, f"{path}/points/{j}") for j, p in enumerate(pts)],
+                           f"{path}/points")
         objects.append(ObjectSpec(oid, np.array(half), np.array(canon), static, pose, cloud))
-    return Scene(objects, np.array(bounds), np.array(north))
+    _finite_rows("/objects", {"half_extents": np.array([o.half_extents for o in objects]),
+                              "pose/pos": np.array([o.initial_pose.position for o in objects])})
+    return Scene(objects, bounds, north)
 
 
 def scene_to_json(scene: Scene) -> dict:
@@ -363,8 +394,10 @@ def parse_motion_json(text: str) -> MotionSequence:
         _require(all(0.0 <= v <= 1.0 for v in labels), "contact labels must lie in [0, 1]",
                  f"{path}/contact")
         contact.append(labels)
-    return MotionSequence(fps, np.array(joints), np.array(rot6d),
-                          np.array(obj_pos), np.array(obj_quat), np.array(contact))
+    arrays = {"joints": np.array(joints), "joint_rot6d": np.array(rot6d),
+              "object/pos": np.array(obj_pos)}
+    _finite_rows("/frames", arrays)
+    return MotionSequence(fps, *arrays.values(), np.array(obj_quat), np.array(contact))
 
 
 def motion_to_json(motion: MotionSequence) -> dict:

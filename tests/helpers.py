@@ -6,8 +6,8 @@ import math
 import numpy as np
 
 from hoiplan.geometry import Pose, quat_rotate
-from hoiplan.planner import OccupancyGrid
-from hoiplan.polygons import polygon_contains
+from hoiplan.planner import NoPath, OccupancyGrid, PathResult, _window
+from hoiplan.polygons import convex_distance, point_to_convex_distance, polygon_contains
 from hoiplan.relations import Adjacent, Facing, On, compass_vector
 from hoiplan.scene import (ObjectSpec, Scene, bottom_height, footprint, top_surface_height)
 
@@ -55,6 +55,108 @@ def dijkstra_oracle(grid, start, goal):
                 dist[nxt] = cand
                 heapq.heappush(heap, (cost, nxt))
     return None
+
+
+def rasterize_oracle(scene, exclude=frozenset(), resolution=0.05, agent_radius=0.3, poses=None):
+    """Scalar reference for planner.rasterize: one exact distance test per cell."""
+    x0, y0, x1, y1 = scene.bounds
+    nx = max(1, int(math.ceil((x1 - x0) / resolution - 1e-9)))
+    ny = max(1, int(math.ceil((y1 - y0) / resolution - 1e-9)))
+    occupied = np.zeros((nx, ny), dtype=bool)
+    grid = OccupancyGrid(resolution, np.array([x0, y0]), occupied)
+    half_diag = resolution * math.sqrt(0.5)
+    for obj in scene.objects:
+        if obj.id in exclude:
+            continue
+        pose = poses[obj.id] if poses and obj.id in poses else obj.initial_pose
+        poly = footprint(obj, pose)
+        verts = [(float(x), float(y)) for x, y in poly]
+        xs, ys = _window(grid, poly, agent_radius)
+        for ix in xs:
+            cx = x0 + (ix + 0.5) * resolution
+            for iy in ys:
+                if occupied[ix, iy]:
+                    continue
+                # coarse center test decides all but the boundary band
+                center_d = point_to_convex_distance(
+                    (cx, y0 + (iy + 0.5) * resolution), verts)
+                if center_d > agent_radius + half_diag + 1e-12:
+                    continue
+                if center_d <= agent_radius - half_diag:
+                    occupied[ix, iy] = True
+                    continue
+                if convex_distance(grid.cell_rect((ix, iy)), verts) <= agent_radius + 1e-12:
+                    occupied[ix, iy] = True
+    return grid
+
+
+def cells_near_footprint_oracle(grid, poly, distance):
+    """Scalar reference for planner._cells_near_footprint."""
+    verts = [(float(x), float(y)) for x, y in poly]
+    xs, ys = _window(grid, poly, distance)
+    return {(ix, iy) for ix in xs for iy in ys
+            if not grid.occupied[ix, iy]
+            and point_to_convex_distance(grid.center_of((ix, iy)), verts) <= distance}
+
+
+# (dx, dy, diagonal); pops follow the (f, h, x, y) heap key, not this order
+_MOVES = ((1, 0, False), (-1, 0, False), (0, 1, False), (0, -1, False),
+          (1, 1, True), (1, -1, True), (-1, 1, True), (-1, -1, True))
+
+
+def astar_cells_oracle(grid, start, goals):
+    """Dict-and-tuple reference for planner.astar_cells, heap key (f, h, x, y)."""
+    goal_set = {tuple(g) for g in goals}
+    gx_min = min(g[0] for g in goal_set)
+    gx_max = max(g[0] for g in goal_set)
+    gy_min = min(g[1] for g in goal_set)
+    gy_max = max(g[1] for g in goal_set)
+
+    def h(x, y):
+        dx = max(0, gx_min - x, x - gx_max)
+        dy = max(0, gy_min - y, y - gy_max)
+        return max(dx, dy) + (SQRT2 - 1.0) * min(dx, dy)
+
+    start = tuple(start)
+    g_cost = {start: 0.0}
+    counts = {start: (0, 0)}
+    parent = {}
+    h0 = h(*start)
+    heap = [(h0, h0, start[0], start[1])]
+    closed = set()
+    nx, ny = grid.shape
+    occ = grid.occupied
+    while heap:
+        f, hc, x, y = heapq.heappop(heap)
+        cell = (x, y)
+        if cell in closed:
+            continue
+        closed.add(cell)
+        if cell in goal_set:
+            cells = [cell]
+            while cells[-1] != start:
+                cells.append(parent[cells[-1]])
+            cells.reverse()
+            return PathResult(cells, counts[cell][0], counts[cell][1])
+        g_here = g_cost[cell]
+        s_here, d_here = counts[cell]
+        for dx, dy, diagonal in _MOVES:
+            px, py = x + dx, y + dy
+            if not (0 <= px < nx and 0 <= py < ny) or occ[px, py]:
+                continue
+            # no corner cutting: both orthogonal neighbors must be free
+            if diagonal and (occ[px, y] or occ[x, py]):
+                continue
+            nxt = (px, py)
+            cand = g_here + (SQRT2 if diagonal else 1.0)
+            old = g_cost.get(nxt)
+            if old is None or cand < old - 1e-12:
+                g_cost[nxt] = cand
+                counts[nxt] = (s_here, d_here + 1) if diagonal else (s_here + 1, d_here)
+                parent[nxt] = cell
+                hn = h(px, py)
+                heapq.heappush(heap, (cand + hn, hn, px, py))
+    raise NoPath(f"no route from {start} to the goal set")
 
 
 def box(oid, hx, hy, hz, static=False, pos=(0.0, 0.0, 0.0), quat=(1.0, 0.0, 0.0, 0.0),

@@ -382,6 +382,53 @@ class TestBoundaryErrors:
         assert error["detail"] == {"path": out}
 
 
+    def test_overflowing_bounds_is_schema_error(self, tmp_path, capsys):
+        # 1e999 parses as inf; rasterize used to die on it with OverflowError
+        doc = {"bounds": [0, 0, 1.5, 1], "north": [0, 1], "objects": []}
+        (tmp_path / "scene.json").write_text(json.dumps(doc).replace("1.5", "1e999"))
+        error = self.run_error(["route", str(tmp_path / "scene.json"),
+                                "--start=0.5,0.5", "--goal=0.6,0.5"], capsys)
+        assert error["code"] == "scene.schema_error"
+        assert "/bounds" in error["message"]
+
+    def test_huge_grid_is_refused_before_allocation(self, tmp_path, capsys):
+        scene = {"bounds": [-1e6, -1e6, 1e6, 1e6], "north": [0, 1], "objects": []}
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        error = self.run_error(["route", str(tmp_path / "scene.json"),
+                                "--start=0,0", "--goal=1,1"], capsys)
+        assert error["code"] == "planner.grid_too_large"
+        assert error["detail"]["limit"] == 1 << 24
+
+    def test_joint_index_past_the_skeleton_is_domain_error(self, tmp_path, capsys):
+        argv = postprocess_argv(tmp_path)
+        for flags in (["--wrist-joints", ",99"], ["--wrist-joints", ",3", "--arm-chains",
+                                                  ";1,2,4"]):
+            error = self.run_error(argv + flags, capsys)
+            assert error["code"] == "motion.joint_out_of_range"
+            assert error["detail"]["joints"] == 4
+
+
+def postprocess_argv(tmp_path):
+    """postprocess on a 4-joint motion whose right hand holds a grasp."""
+    motion, grasp = build_interaction_motion(t=20, contact_range=(5, 15))
+    save_motion(motion, tmp_path / "motion.json")
+    (tmp_path / "grasp.json").write_text(
+        json.dumps(grasps_to_json({"left": None, "right": grasp})))
+    return ["postprocess", "--motion", str(tmp_path / "motion.json"),
+            "--grasp", str(tmp_path / "grasp.json"), "--out", str(tmp_path / "out.json")]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--wrist-joints", "a,b"), ("--wrist-joints", ",-1"), ("--wrist-joints", "1.5,"),
+    ("--wrist-joints", "1,2,3"), ("--arm-chains", ";1,x,3"), ("--arm-chains", ";1,-2,3"),
+    ("--arm-chains", ";1,2")])
+def test_malformed_joint_index_is_usage_error(flag, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(postprocess_argv(tmp_path) + [flag, value])
+    assert e.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,flags", [
     ("route", ["--resolution", "0"]), ("route", ["--resolution", "nan"]),
     ("route", ["--resolution", "-1"]), ("route", ["--resolution", "inf"]),

@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from helpers import box, dijkstra_oracle, grid_from_rows, workspace_relations, \
-    workspace_scene
+from helpers import astar_cells_oracle, box, cells_near_footprint_oracle, dijkstra_oracle, \
+    grid_from_rows, rasterize_oracle, workspace_relations, workspace_scene
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoiplan import planner
+from hoiplan.geometry import quat_from_axis_angle, quat_from_yaw, quat_multiply
 from hoiplan.layout import CycleDetected, solve
-from hoiplan.planner import (SQRT2, DuplicateStep, ExecutionPlan, GoalOccupied, MissingStep,
-                             NoPath, OccupancyGrid, PathResult, StartOccupied, UnknownStep,
-                             astar, astar_cells, dependency_order, downsample, load_plan,
-                             parse_plan_json, plan_routes, plan_to_json, rasterize, save_plan)
-from hoiplan.polygons import convex_intersects
+from hoiplan.planner import (MAX_GRID_CELLS, SQRT2, DuplicateStep, ExecutionPlan, GoalOccupied,
+                             GridTooLarge, MissingStep, NoPath, OccupancyGrid, PathResult,
+                             StartOccupied, UnknownStep, astar, astar_cells, dependency_order,
+                             downsample, load_plan, parse_plan_json, plan_routes, plan_to_json,
+                             rasterize, save_plan)
+from hoiplan.polygons import convex_distance, convex_intersects, point_to_convex_distance
 from hoiplan.relations import ActionStep, On, render_plan_step
 from hoiplan.scene import Scene, dump_json, footprint
 
@@ -131,6 +134,37 @@ def test_multi_goal_astar_matches_dijkstra(case):
     assert sum(min(step) for step in steps) == result.diagonal
 
 
+@st.composite
+def goal_set_cases(draw):
+    """A random grid up to 60x60, a free start and 1 to 2000 free goals."""
+    nx = draw(st.integers(2, 60))
+    ny = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    occ = rng.uniform(size=(nx, ny)) < draw(st.sampled_from([0.0, 0.1, 0.3, 0.5]))
+    free = np.argwhere(~occ)
+    if len(free) < 2:
+        occ[:] = False
+        free = np.argwhere(~occ)
+    picks = rng.permutation(len(free))[:1 + draw(st.integers(1, 2000))]
+    start, *goals = (tuple(int(v) for v in free[i]) for i in picks)
+    return OccupancyGrid(1.0, np.zeros(2), occ), start, set(goals)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(goal_set_cases())
+def test_astar_cells_matches_scalar_oracle(case):
+    grid, start, goals = case
+    try:
+        expected = astar_cells_oracle(grid, start, goals)
+    except NoPath:
+        with pytest.raises(NoPath):
+            astar_cells(grid, start, goals)
+        return
+    result = astar_cells(grid, start, goals)
+    assert (result.cells, result.straight, result.diagonal) == \
+        (expected.cells, expected.straight, expected.diagonal)
+
+
 class TestDownsample:
     def test_short_route_unchanged(self):
         assert downsample([(0, 0)], 1.0) == [(0.0, 0.0)]
@@ -197,6 +231,116 @@ class TestRasterize:
         inflated = rasterize(scene, resolution=0.25, agent_radius=0.3)
         assert inflated.occupied.sum() > plain.occupied.sum()
         assert np.all(inflated.occupied[plain.occupied])
+
+
+RESOLUTIONS = (0.05, 0.1, 0.125, 0.2, 0.25, 0.3)
+
+
+@st.composite
+def raster_cases(draw):
+    """Scenes of 1-3 boxes on grids up to 40x40 cells, with the agent radius.
+
+    Half the scenes are grid-aligned: half extents, positions and radius are
+    multiples of half a cell, so cell centers and corners fall exactly on
+    the thresholds. The others are yawed and tilted (4-6-vertex footprints).
+    """
+    res = draw(st.sampled_from(RESOLUTIONS))
+    nx, ny = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    x0, y0 = draw(st.sampled_from([(0.0, 0.0), (-3.1, 2.7), (250.0, -40.0)]))
+    w, h = nx * res, ny * res
+    aligned = draw(st.booleans())
+    objects = []
+    for i in range(draw(st.integers(1, 3))):
+        if aligned:
+            half = [draw(st.integers(1, 8)) * res / 2 for _ in range(3)]
+            pos = (x0 + draw(st.integers(0, 2 * nx)) * res / 2,
+                   y0 + draw(st.integers(0, 2 * ny)) * res / 2, 1.0)
+            quat = quat_from_yaw(draw(st.sampled_from([0.0, math.pi / 2])))
+        else:
+            half = [draw(st.floats(0.02, 1.0)) for _ in range(3)]
+            pos = (x0 + draw(st.floats(0.0, w)), y0 + draw(st.floats(0.0, h)), 1.0)
+            quat = quat_from_yaw(draw(st.floats(0.0, 2 * math.pi)))
+            tilt = draw(st.floats(0.0, 1.2))
+            axis = draw(st.floats(0.0, 2 * math.pi))
+            quat = quat_multiply(quat, quat_from_axis_angle(
+                tilt * np.array([math.cos(axis), math.sin(axis), 0.0])))
+        objects.append(box(f"o{i}", *half, pos=pos, quat=tuple(quat)))
+    if aligned:
+        radius = draw(st.integers(0, 8)) * res / 2
+    else:
+        radius = draw(st.sampled_from([0.0, 0.3]) | st.floats(0.01, 0.6))
+    return Scene(objects, bounds=np.array([x0, y0, x0 + w, y0 + h])), res, radius
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(raster_cases(), st.sampled_from(["radius", "cells", "approach"]))
+def test_rasterize_and_goal_sets_match_scalar_oracle(case, goal_distance):
+    scene, res, radius = case
+    grid = rasterize(scene, resolution=res, agent_radius=radius)
+    expected = rasterize_oracle(scene, resolution=res, agent_radius=radius)
+    assert np.array_equal(grid.occupied, expected.occupied)
+    distance = {"radius": radius, "cells": 3 * res, "approach": 1.0}[goal_distance]
+    for obj in scene.objects:
+        poly = footprint(obj, obj.initial_pose)
+        assert planner._cells_near_footprint(grid, poly, distance) == \
+            cells_near_footprint_oracle(grid, poly, distance)
+
+
+def _yawed_box_on_empty_grid(seed):
+    rng = np.random.default_rng(seed)
+    scene = Scene([box("b", *rng.uniform(0.1, 0.6, size=3), pos=(2.0, 2.0, 1.0),
+                       quat=tuple(quat_from_yaw(rng.uniform(0, 2 * math.pi))))],
+                  bounds=np.array([0.0, 0.0, 4.0, 4.0]))
+    grid = rasterize(scene, exclude={"b"}, resolution=0.05)
+    return scene, grid, footprint(scene.object("b"), scene.object("b").initial_pose)
+
+
+# np.hypot and math.hypot may round apart in the last bit. A cell that the
+# scalar kernel puts exactly at a threshold, and np.hypot just past it, must
+# still be decided by the scalar kernel.
+
+def test_goal_set_tie_is_decided_by_the_scalar_kernel():
+    for seed in range(100):
+        scene, grid, poly = _yawed_box_on_empty_grid(seed)
+        xs, ys = planner._window(grid, poly, 1.0)
+        fast = planner._center_distance(grid, poly, xs, ys)
+        for ix, iy in np.argwhere(fast > 0):
+            cell = (xs.start + int(ix), ys.start + int(iy))
+            distance = point_to_convex_distance(grid.center_of(cell), poly)
+            if fast[ix, iy] > distance:
+                goals = planner._cells_near_footprint(grid, poly, distance)
+                assert cell in goals
+                assert goals == cells_near_footprint_oracle(grid, poly, distance)
+                return
+    pytest.fail("no cell whose vectorized distance exceeds the scalar one")
+
+
+def test_rasterize_tie_is_decided_by_the_scalar_kernel():
+    for seed in range(100):
+        scene, grid, poly = _yawed_box_on_empty_grid(seed)
+        xs, ys = planner._window(grid, poly, 0.5)
+        ix, iy = (a.ravel() for a in np.meshgrid(np.array(xs), np.array(ys), indexing="ij"))
+        fast = planner._rect_distance(grid, poly, ix, iy)
+        for cell, d in zip(zip(ix.tolist(), iy.tolist()), fast):
+            exact = convex_distance(grid.cell_rect(cell), poly)
+            radius = exact - 1e-12   # so that the threshold radius + 1e-12 is exact
+            if d > exact > 0.1 and radius + 1e-12 == exact:
+                occupied = rasterize(scene, resolution=0.05, agent_radius=radius).occupied
+                assert occupied[cell]
+                assert np.array_equal(occupied, rasterize_oracle(
+                    scene, resolution=0.05, agent_radius=radius).occupied)
+                return
+    pytest.fail("no cell whose vectorized distance exceeds the scalar one")
+
+
+def test_grid_cell_cap():
+    scene = Scene([], bounds=np.array([-1e6, -1e6, 1e6, 1e6]))
+    with pytest.raises(GridTooLarge) as e:
+        rasterize(scene)
+    assert e.value.detail == {"cells": 40_000_000 ** 2, "limit": MAX_GRID_CELLS}
+    side = math.isqrt(MAX_GRID_CELLS) * 0.05
+    assert rasterize(Scene([], bounds=np.array([0.0, 0.0, side, side]))).occupied.size \
+        == MAX_GRID_CELLS
 
 
 def step(oid):

@@ -143,6 +143,88 @@ class TestMotionIO:
             parse_motion_json(json.dumps(doc))
 
 
+SENTINEL = 12345.678
+
+
+def _set(doc, where, value):
+    for key in where[:-1]:
+        doc = doc[key]
+    doc[where[-1]] = value
+
+
+def _overflow_cases():
+    from hoiplan.layout import SceneMap, SceneMapEntry, scene_map_to_json
+    from hoiplan.motion import GraspPose, grasps_to_json
+    from hoiplan.planner import ExecutionPlan, PlanStep, plan_to_json
+    from hoiplan.reward import DEFAULT_BODY_WEIGHTS, weights_to_json
+    motion = motion_to_json(TestMotionIO().make_motion())
+    scene = scene_to_json(small_scene())
+    scene["objects"][0]["points"] = [[0.1, 0.2, 0.3]] * 3
+    entry = SceneMapEntry("b", np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
+    grasp = GraspPose(Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0])), np.zeros(2))
+    plan = ExecutionPlan([PlanStep("b", "move b", [(0.0, 0.0), (0.5, 0.5)])])
+    return [
+        ("scene", scene, ["bounds", 2]),
+        ("scene", scene, ["north", 0]),
+        ("scene", scene, ["objects", 1, "half_extents", 0]),
+        ("scene", scene, ["objects", 1, "pose", "pos", 2]),
+        ("scene", scene, ["objects", 1, "pose", "quat", 3]),
+        ("scene", scene, ["objects", 0, "points", 1, 0]),
+        ("motion", motion, ["frames", 2, "joints", 1, 0]),
+        ("motion", motion, ["frames", 1, "joint_rot6d", 0, 3]),
+        ("motion", motion, ["frames", 3, "object", "pos", 1]),
+        ("motion", motion, ["frames", 0, "object", "quat", 0]),
+        ("scene_map", scene_map_to_json(SceneMap([entry])), ["entries", 0, "pos", 1]),
+        ("grasps", grasps_to_json({"left": grasp, "right": None}), ["left", "fingers", 1]),
+        ("plan", plan_to_json(plan), ["steps", 0, "route", 1, 0]),
+        ("weights", weights_to_json(DEFAULT_BODY_WEIGHTS), ["w_p", "root"]),
+    ]
+
+
+def _parser(kind):
+    from hoiplan.layout import parse_scene_map_json
+    from hoiplan.motion import parse_grasps_json
+    from hoiplan.planner import parse_plan_json
+    from hoiplan.reward import load_weights
+    return {"scene": parse_scene_json, "motion": parse_motion_json,
+            "scene_map": parse_scene_map_json, "grasps": parse_grasps_json,
+            "plan": parse_plan_json, "weights": load_weights}[kind]
+
+
+@pytest.mark.parametrize("literal", ["1e999", "-1e999", "9" * 401],
+                         ids=["inf", "-inf", "401-digit-integer"])
+@pytest.mark.parametrize("case", range(len(_overflow_cases())),
+                         ids=[f"{kind}:{'/'.join(map(str, where))}"
+                              for kind, _, where in _overflow_cases()])
+def test_number_past_the_double_range_is_schema_error(case, literal, tmp_path):
+    # 1e999 parses as inf and a 401-digit integer has no float value; both
+    # used to pass the loaders or end in an OverflowError traceback
+    kind, doc, where = _overflow_cases()[case]
+    _set(doc, where, SENTINEL)
+    text = json.dumps(doc).replace(repr(SENTINEL), literal)
+    if kind == "weights":
+        (tmp_path / "w.json").write_text(text)
+        text = tmp_path / "w.json"
+    with pytest.raises(SchemaError):
+        _parser(kind)(text)
+
+
+@pytest.mark.parametrize("kind,where,literal,path", [
+    ("motion", ["frames", 2, "joints", 1, 0], "1e999", "/frames/2/joints"),
+    ("motion", ["frames", 2, "joints", 1, 0], "9" * 401, "/frames/2/joints/1/0"),
+    ("scene", ["objects", 1, "pose", "pos", 2], "-1e999", "/objects/1/pose/pos"),
+    ("scene", ["objects", 2, "half_extents", 0], "1e999", "/objects/2/half_extents"),
+    ("scene", ["bounds", 3], "9" * 401, "/bounds/3")],
+    ids=["motion-inf", "motion-integer", "scene-pose", "scene-half-extents", "scene-bounds"])
+def test_out_of_range_error_names_the_value(kind, where, literal, path):
+    doc = (motion_to_json(TestMotionIO().make_motion()) if kind == "motion"
+           else scene_to_json(small_scene()))
+    _set(doc, where, SENTINEL)
+    with pytest.raises(SchemaError) as e:
+        _parser(kind)(json.dumps(doc).replace(repr(SENTINEL), literal))
+    assert e.value.path == path
+
+
 class TestBoxGeometry:
     def test_top_surface_unit_cube(self):
         obj = unit_cube()
