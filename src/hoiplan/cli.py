@@ -16,7 +16,8 @@ import numpy as np
 from .errors import HoiplanError
 from .layout import load_scene_map, save_scene_map, solve
 from .llm import HttpBackend, MockBackend, complete, render_prompt
-from .motion import load_grasps, postprocess_motion
+from .motion import (CONTACT_MIN_RUN, CONTACT_THRESHOLD, SMOOTHING_WINDOW, load_grasps,
+                     postprocess_motion)
 from .planner import (DEFAULT_AGENT_RADIUS, DEFAULT_RESOLUTION, DEFAULT_STRIDE, astar,
                       dependency_order, downsample, load_plan, plan_routes, rasterize,
                       save_plan)
@@ -44,6 +45,23 @@ def _nonnegative(text: str) -> float:
     value = _finite(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a number of at least 0, got {text!r}")
+    return value
+
+
+def _unit_interval(text: str) -> float:
+    value = _finite(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
     return value
 
 
@@ -211,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--motion", required=True)
     p.add_argument("--grasp", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--min-run", type=int, default=5)
-    p.add_argument("--window", type=int, default=15)
+    p.add_argument("--threshold", type=_unit_interval, default=CONTACT_THRESHOLD)
+    p.add_argument("--min-run", type=_count, default=CONTACT_MIN_RUN)
+    p.add_argument("--window", type=_count, default=SMOOTHING_WINDOW)
     p.add_argument("--wrist-joints", type=_parse_pair, help="'left,right' wrist joint indices")
     p.add_argument("--arm-chains", type=_parse_chains,
                    help="'ls,le,lw;rs,re,rw' joint index chains")

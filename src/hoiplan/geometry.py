@@ -31,102 +31,125 @@ class EmptyCloud(HoiplanError):
 
 
 # ---------------------------------------------------------------------------
-# quaternions
+# batched elementwise helpers
+#
+# The quaternion and 6D kernels below (all but quat_to_axis_angle and
+# quat_from_yaw) take one quaternion, vector or matrix, or a batch of them
+# along the leading axes, and give each row the same bits as a call on that
+# row alone. So norms and dot products go through np.vecdot on rows of unit
+# stride, which rounds like np.linalg.norm and np.dot of one vector (summing
+# v*v, einsum, or vecdot on strided rows do not), and transcendental functions
+# go through `per_element`.
+
+def vec_norm(v) -> np.ndarray:
+    """Euclidean norm over the last axis."""
+    v = np.ascontiguousarray(v, dtype=float)
+    return np.sqrt(np.vecdot(v, v))
+
+
+def per_element(fn, *arrays) -> np.ndarray:
+    """``fn`` (e.g. math.atan2) applied per element through Python floats.
+
+    numpy's own arctan2, exp and sin round differently from the math module on
+    a few percent of inputs.
+    """
+    shape = np.shape(arrays[0])
+    flat = [np.ravel(a).tolist() for a in arrays]
+    return np.array(list(map(fn, *flat)), dtype=float).reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# quaternions: wxyz along the last axis
 
 def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    n = float(np.linalg.norm(q))
-    if n < 1e-12:
+    n = vec_norm(q)[..., None]
+    if (n < 1e-12).any():
         raise DegenerateRotation("quaternion norm is zero")
-    if abs(n - 1.0) < 1e-9:  # keep already-unit quaternions bit-stable
-        return q
-    return q / n
+    unit = np.abs(n - 1.0) < 1e-9  # keep already-unit quaternions bit-stable
+    return q if unit.all() else np.where(unit, q, q / n)
 
 
 def quat_multiply(a, b) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
+    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    return np.stack([
         aw * bw - ax * bx - ay * by - az * bz,
         aw * bx + ax * bw + ay * bz - az * by,
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    ], axis=-1)
 
 
 def quat_conjugate(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
 
 
 def quat_rotate(q, v) -> np.ndarray:
-    """Rotate a 3-vector (or an (N, 3) batch) by a unit quaternion."""
+    """Rotate 3-vectors by unit quaternions: one by one, a batch by one, or row by row."""
+    q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    u = np.asarray(q[1:], dtype=float)
-    w = float(q[0])
+    u, w = q[..., 1:], q[..., :1]
     t = 2.0 * np.cross(u, v)
     return v + w * t + np.cross(u, t)
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack([
+        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1),
+        np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1),
+        np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1),
+    ], axis=-2)
 
 
 def matrix_to_quat(m) -> np.ndarray:
-    """Convert an orthonormal 3x3 matrix to a wxyz quaternion (Shepperd)."""
+    """Convert orthonormal (..., 3, 3) matrices to wxyz quaternions (Shepperd)."""
     m = np.asarray(m, dtype=float)
-    t = m[0, 0] + m[1, 1] + m[2, 2]
-    if t > 0:
-        s = math.sqrt(t + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (m[2, 1] - m[1, 2]) / s,
-                      (m[0, 2] - m[2, 0]) / s,
-                      (m[1, 0] - m[0, 1]) / s])
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = np.array([(m[2, 1] - m[1, 2]) / s,
-                      0.25 * s,
-                      (m[0, 1] + m[1, 0]) / s,
-                      (m[0, 2] + m[2, 0]) / s])
-    elif m[1, 1] > m[2, 2]:
-        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        q = np.array([(m[0, 2] - m[2, 0]) / s,
-                      (m[0, 1] + m[1, 0]) / s,
-                      0.25 * s,
-                      (m[1, 2] + m[2, 1]) / s])
-    else:
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        q = np.array([(m[1, 0] - m[0, 1]) / s,
-                      (m[0, 2] + m[2, 0]) / s,
-                      (m[1, 2] + m[2, 1]) / s,
-                      0.25 * s])
+    m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
+    t = m00 + m11 + m22
+    # the branch of each matrix: its largest of w, x, y and z
+    bw = t > 0
+    bx = ~bw & (m00 > m11) & (m00 > m22)
+    by = ~bw & ~bx & (m11 > m22)
+    arg = np.select([bw, bx, by], [t + 1.0, 1.0 + m00 - m11 - m22, 1.0 + m11 - m00 - m22],
+                    1.0 + m22 - m00 - m11)
+    with np.errstate(divide="ignore", invalid="ignore"):  # in the branches not taken
+        s = np.sqrt(arg) * 2.0
+        big = 0.25 * s
+        d21 = (m[..., 2, 1] - m[..., 1, 2]) / s
+        d02 = (m[..., 0, 2] - m[..., 2, 0]) / s
+        d10 = (m[..., 1, 0] - m[..., 0, 1]) / s
+        s01 = (m[..., 0, 1] + m[..., 1, 0]) / s
+        s02 = (m[..., 0, 2] + m[..., 2, 0]) / s
+        s12 = (m[..., 1, 2] + m[..., 2, 1]) / s
+    branches = [bw, bx, by]
+    q = np.stack([np.select(branches, [big, d21, d02], d10),
+                  np.select(branches, [d21, big, s01], s02),
+                  np.select(branches, [d02, s01, big], s12),
+                  np.select(branches, [d10, s02, s12], big)], axis=-1)
     return quat_canonical(quat_normalize(q))
 
 
 def quat_canonical(q) -> np.ndarray:
     """Flip sign so the first nonzero component is positive (q and -q are equal rotations)."""
     q = np.asarray(q, dtype=float)
-    for c in q:
-        if abs(c) > 1e-12:
-            return q if c > 0 else -q
-    return q
+    nonzero = np.abs(q) > 1e-12
+    lead = np.take_along_axis(q, nonzero.argmax(axis=-1)[..., None], axis=-1)
+    return np.where(nonzero.any(axis=-1, keepdims=True) & (lead < 0), -q, q)
 
 
 def quat_from_axis_angle(a) -> np.ndarray:
-    """Exponential map: 3-vector axis*angle (radians) to quaternion."""
+    """Exponential map: axis*angle 3-vectors (radians) to quaternions."""
     a = np.asarray(a, dtype=float)
-    angle = float(np.linalg.norm(a))
-    if angle < 1e-12:
-        return quat_normalize(np.array([1.0, 0.5 * a[0], 0.5 * a[1], 0.5 * a[2]]))
-    axis = a / angle
+    angle = vec_norm(a)[..., None]
     half = 0.5 * angle
-    s = math.sin(half)
-    return np.array([math.cos(half), s * axis[0], s * axis[1], s * axis[2]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.concatenate([per_element(math.cos, half),
+                            per_element(math.sin, half) * (a / angle)], axis=-1)
+    tiny = quat_normalize(np.concatenate([np.ones_like(half), 0.5 * a], axis=-1))
+    return np.where(angle < 1e-12, tiny, q)
 
 
 def quat_to_axis_angle(q) -> np.ndarray:
@@ -145,10 +168,10 @@ def quat_from_yaw(angle: float) -> np.ndarray:
     return np.array([math.cos(0.5 * angle), 0.0, 0.0, math.sin(0.5 * angle)])
 
 
-def quat_geodesic_angle(a, b) -> float:
-    """Angle in radians of the rotation taking a to b; in [0, pi]."""
+def quat_geodesic_angle(a, b):
+    """Angle in radians of the rotation taking a to b, in [0, pi]; one per row of a batch."""
     rel = quat_multiply(quat_conjugate(a), b)
-    return 2.0 * math.atan2(float(np.linalg.norm(rel[1:])), abs(float(rel[0])))
+    return 2.0 * per_element(math.atan2, vec_norm(rel[..., 1:]), np.abs(rel[..., 0]))
 
 
 def random_quat(rng: np.random.Generator) -> np.ndarray:
@@ -204,35 +227,38 @@ def invert(p: Pose) -> Pose:
 def rot6d_encode(orientation) -> np.ndarray:
     """First two columns of the rotation matrix, column-major order.
 
-    Accepts a 3x3 matrix or a wxyz quaternion.
+    Accepts (..., 3, 3) matrices or (..., 4) wxyz quaternions.
     """
     m = np.asarray(orientation, dtype=float)
-    if m.shape == (4,):
+    if m.shape[-1:] == (4,):
         m = quat_to_matrix(m)
-    if m.shape != (3, 3):
+    if m.shape[-2:] != (3, 3):
         raise DegenerateRotation(f"expected quaternion or 3x3 matrix, got shape {m.shape}")
-    return np.concatenate([m[:, 0], m[:, 1]])
+    return np.concatenate([m[..., :, 0], m[..., :, 1]], axis=-1)
 
 
 def rot6d_decode(r6) -> np.ndarray:
-    """Gram-Schmidt the two encoded columns; third column by cross product.
+    """Gram-Schmidt the two encoded columns of (..., 6) codes; third column by cross product.
 
-    Raises DegenerateRotation when a column is near zero or the columns are
-    (anti-)parallel.
+    Raises DegenerateRotation at the first code, in row-major order, whose
+    first column is near zero or whose columns are (anti-)parallel.
     """
-    r6 = np.asarray(r6, dtype=float).reshape(6)
-    a, b = r6[:3], r6[3:]
-    na = float(np.linalg.norm(a))
-    if na <= 1e-8:
-        raise DegenerateRotation("first 6D column is near zero")
-    x = a / na
-    b_perp = b - np.dot(x, b) * x
-    nb = float(np.linalg.norm(b_perp))
-    if nb <= 1e-8:
-        raise DegenerateRotation("6D columns are parallel")
-    y = b_perp / nb
-    z = np.cross(x, y)
-    return np.stack([x, y, z], axis=1)
+    r6 = np.asarray(r6, dtype=float)
+    if r6.shape[-1:] != (6,):
+        r6 = r6.reshape(6)  # one code in any 6-element shape
+    a, b = r6[..., :3], r6[..., 3:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        na = vec_norm(a)[..., None]
+        x = a / na
+        b_perp = b - np.vecdot(x, b)[..., None] * x
+        nb = vec_norm(b_perp)[..., None]
+        y = b_perp / nb
+    zero, parallel = (na <= 1e-8).ravel(), (nb <= 1e-8).ravel()
+    if zero.any() or parallel.any():
+        first = int((zero | parallel).argmax())
+        raise DegenerateRotation("first 6D column is near zero" if zero[first]
+                                 else "6D columns are parallel")
+    return np.stack([x, y, np.cross(x, y)], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HoiplanError
-from .geometry import (Pose, compose, quat_conjugate, quat_from_axis_angle,
-                       quat_geodesic_angle, quat_multiply, quat_normalize, quat_rotate,
-                       quat_to_axis_angle, quat_to_matrix, rot6d_encode)
+from .geometry import (Pose, compose, matrix_to_quat, per_element, quat_conjugate,
+                       quat_from_axis_angle, quat_geodesic_angle, quat_multiply,
+                       quat_normalize, quat_rotate, quat_to_axis_angle, quat_to_matrix,
+                       rot6d_decode, rot6d_encode, vec_norm)
 from .scene import MotionSequence, SchemaError, finite, loads, read_text
 
 CONTACT_THRESHOLD = 0.5
@@ -230,6 +231,12 @@ def sample_box_surface(half_extents, count: int = REST_SURFACE_SAMPLES,
 # ---------------------------------------------------------------------------
 # boundary smoothing
 
+def _stack(traj) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (T, 3) and orientations (T, 4) of a pose list."""
+    return (np.array([p.position for p in traj]).reshape(-1, 3),
+            np.array([p.orientation for p in traj]).reshape(-1, 4))
+
+
 def pose_delta(target: Pose, base: Pose) -> np.ndarray:
     """6-vector (position delta, axis-angle delta) such that base + delta = target."""
     dpos = target.position - base.position
@@ -238,21 +245,13 @@ def pose_delta(target: Pose, base: Pose) -> np.ndarray:
     return np.concatenate([dpos, drot])
 
 
-def apply_pose_delta(pose: Pose, delta, alpha: float) -> Pose:
-    """Blend a 6-vector delta onto a pose; rotation via the exponential map."""
-    delta = np.asarray(delta, dtype=float).reshape(6)
-    pos = pose.position + alpha * delta[:3]
-    rot = quat_multiply(quat_from_axis_angle(alpha * delta[3:]), pose.orientation)
-    return Pose(pos, rot)
-
-
 def ramp_poses(traj, boundary: int, window: int, delta,
                direction: str = "forward") -> list[Pose]:
     """Fade a pose delta from full strength at the boundary to zero over a window.
 
     ``forward`` touches frames [boundary, boundary+window); ``backward``
     touches (boundary-window, boundary]. Frames at or past the window end are
-    returned untouched (bit-identical).
+    returned untouched (bit-identical). Rotations blend via the exponential map.
     """
     traj = list(traj)
     t = len(traj)
@@ -261,14 +260,17 @@ def ramp_poses(traj, boundary: int, window: int, delta,
     if window < 1:
         raise WindowOutOfRange(f"window must be at least 1, got {window}")
     out = list(traj)
-    if float(np.abs(np.asarray(delta, dtype=float)).max()) < 1e-12:
+    delta = np.asarray(delta, dtype=float).reshape(6)
+    if float(np.abs(delta).max()) < 1e-12:
         return out  # nothing to smooth; keep frames bit-identical
-    for k in range(window):
-        idx = boundary + k if direction == "forward" else boundary - k
-        if not 0 <= idx < t:
-            break
-        alpha = 1.0 - k / window
-        out[idx] = apply_pose_delta(traj[idx], delta, alpha)
+    forward = direction == "forward"
+    n = min(window, t - boundary if forward else boundary + 1)
+    frames = [boundary + k if forward else boundary - k for k in range(n)]
+    alpha = np.array([[1.0 - k / window] for k in range(n)])
+    pos, quat = _stack([traj[i] for i in frames])
+    rot = quat_multiply(quat_from_axis_angle(alpha * delta[3:]), quat)
+    for i, p, q in zip(frames, pos + alpha * delta[:3], rot):
+        out[i] = Pose(p, q)
     return out
 
 
@@ -305,8 +307,9 @@ def recompute_wrist(object_traj, wrist_traj, grasp: GraspPose, contact: tuple[in
     if not (0 <= s < e <= t):
         raise EmptyContact(f"contact range {contact} is empty or out of bounds")
     out = list(wrist_traj)
-    for i in range(s, e):
-        out[i] = grasp_world_pose(object_traj[i], grasp)
+    pos, quat = _stack(object_traj[s:e])
+    g = grasp.wrist_pose
+    out[s:e] = map(Pose, quat_rotate(quat, g.position) + pos, quat_multiply(quat, g.orientation))
     if s > 0:
         out[:s] = smooth_boundary(wrist_traj, s, window, out[s], direction="backward")[:s]
     if e < t:
@@ -428,37 +431,87 @@ class IkResult:
     residual_history: list[float]
 
 
-def _fk(chain: IkChain, rotations) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Joint positions plus end effector, and each joint's parent frame."""
-    pts = [chain.base]
-    frames = []
-    frame = np.array([1.0, 0.0, 0.0, 0.0])
-    for length, q in zip(chain.lengths, rotations):
-        frames.append(frame)
-        frame = quat_multiply(frame, q)
-        pts.append(pts[-1] + quat_rotate(frame, np.array([length, 0.0, 0.0])))
-    return np.array(pts), frames
+def _fk(lengths, base, rotations) -> tuple[np.ndarray, np.ndarray]:
+    """Joint positions plus end effector (K, n+1, 3), and each joint's parent frame (K, n, 4)."""
+    k, n = lengths.shape
+    pts = np.empty((k, n + 1, 3))
+    frames = np.empty((k, n, 4))
+    pts[:, 0] = base
+    frame = np.broadcast_to([1.0, 0.0, 0.0, 0.0], (k, 4))
+    segment = np.zeros((k, 3))
+    for i in range(n):
+        frames[:, i] = frame
+        frame = quat_multiply(frame, rotations[:, i])
+        segment[:, 0] = lengths[:, i]
+        pts[:, i + 1] = pts[:, i] + quat_rotate(frame, segment)
+    return pts, frames
 
 
 def _align_quat(v_from, v_to) -> np.ndarray:
-    """Quaternion rotating v_from onto v_to (both assumed nonzero)."""
-    a = v_from / np.linalg.norm(v_from)
-    b = v_to / np.linalg.norm(v_to)
+    """Quaternions rotating each row of v_from onto v_to (rows assumed nonzero)."""
+    a = v_from / vec_norm(v_from)[:, None]
+    b = v_to / vec_norm(v_to)[:, None]
     c = np.cross(a, b)
-    d = float(a @ b)
-    n = float(np.linalg.norm(c))
-    if n < 1e-12:
-        if d > 0:
-            return np.array([1.0, 0.0, 0.0, 0.0])
-        # antiparallel: rotate pi about any perpendicular axis
+    d = np.vecdot(a, b)
+    n = vec_norm(c)
+    with np.errstate(divide="ignore", invalid="ignore"):  # (anti)parallel rows, replaced below
+        q = quat_from_axis_angle(c / n[:, None] * per_element(math.atan2, n, d)[:, None])
+    parallel = n < 1e-12
+    if parallel.any():
+        # identity, or for antiparallel rows a half turn about a perpendicular axis
+        a = a[parallel]
         perp = np.cross(a, [1.0, 0.0, 0.0])
-        if np.linalg.norm(perp) < 1e-9:
-            perp = np.cross(a, [0.0, 1.0, 0.0])
-        perp /= np.linalg.norm(perp)
-        return np.array([0.0, perp[0], perp[1], perp[2]])
-    angle = math.atan2(n, d)
-    axis = c / n
-    return quat_from_axis_angle(axis * angle)
+        thin = vec_norm(perp) < 1e-9
+        perp[thin] = np.cross(a[thin], [0.0, 1.0, 0.0])
+        perp /= vec_norm(perp)[:, None]
+        half_turn = np.concatenate([np.zeros((len(perp), 1)), perp], axis=1)
+        q[parallel] = np.where((d[parallel] > 0)[:, None], [1.0, 0.0, 0.0, 0.0], half_turn)
+    return q
+
+
+def ik_solve_batch(lengths, base, target, initial_rotations=None, max_iters: int = 100,
+                   tol: float = 1e-5):
+    """Cyclic coordinate descent on K chains of n links at once, in lockstep.
+
+    ``lengths`` is (K, n), ``base`` and ``target`` (K, 3) and
+    ``initial_rotations`` (K, n, 4) or None for identities. Each chain sweeps
+    until its own residual is at most ``tol`` or it has run ``max_iters``
+    sweeps, and comes out exactly as ``ik_solve`` on that chain alone. Returns
+    rotations (K, n, 4), joint positions (K, n+1, 3), residuals (K,),
+    iterations (K,) and the residual after each sweep, (max iterations + 1, K).
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    base = np.asarray(base, dtype=float)
+    target = np.asarray(target, dtype=float)
+    k, n = lengths.shape
+    rot = np.tile([1.0, 0.0, 0.0, 0.0], (k, n, 1)) if initial_rotations is None \
+        else np.array(quat_normalize(initial_rotations))
+    pts, frames = _fk(lengths, base, rot)
+    residual = vec_norm(pts[:, -1] - target)
+    history = [residual]
+    iterations = np.zeros(k, dtype=int)
+    active = np.arange(k)
+    for _ in range(max_iters):  # every chain still active has run the same sweeps
+        active = active[residual[active] > tol]
+        if not active.size:
+            break
+        for i in range(n - 1, -1, -1):
+            pivot = pts[active, i]
+            v1 = pts[active, -1] - pivot
+            v2 = target[active] - pivot
+            moves = ~((vec_norm(v1) < 1e-12) | (vec_norm(v2) < 1e-12))
+            rows = active[moves]
+            g = _align_quat(v1[moves], v2[moves])
+            # g is a world-frame rotation; express it in joint i's parent frame
+            parent = frames[rows, i]
+            local = quat_multiply(quat_multiply(quat_conjugate(parent), g), parent)
+            rot[rows, i] = quat_normalize(quat_multiply(local, rot[rows, i]))
+            pts[rows], frames[rows] = _fk(lengths[rows], base[rows], rot[rows])
+        residual = residual.copy()
+        residual[active] = vec_norm(pts[active, -1] - target[active])
+        history.append(residual)
+        iterations[active] += 1
+    return rot, pts, residual, iterations, np.array(history)
 
 
 def ik_solve(chain: IkChain, target, initial_rotations=None, max_iters: int = 100,
@@ -472,29 +525,17 @@ def ik_solve(chain: IkChain, target, initial_rotations=None, max_iters: int = 10
     target_pos = target.position if isinstance(target, Pose) else \
         np.asarray(target, dtype=float).reshape(3)
     n = len(chain.lengths)
-    rotations = [quat_normalize(q) for q in initial_rotations] if initial_rotations \
-        else [np.array([1.0, 0.0, 0.0, 0.0]) for _ in range(n)]
-
-    pts, frames = _fk(chain, rotations)
-    residual = float(np.linalg.norm(pts[-1] - target_pos))
-    history = [residual]
-    iterations = 0
-    while residual > tol and iterations < max_iters:
-        for i in range(n - 1, -1, -1):
-            pivot = pts[i]
-            v1 = pts[-1] - pivot
-            v2 = target_pos - pivot
-            if np.linalg.norm(v1) < 1e-12 or np.linalg.norm(v2) < 1e-12:
-                continue
-            g = _align_quat(v1, v2)
-            # g is a world-frame rotation; express it in joint i's parent frame
-            local = quat_multiply(quat_multiply(quat_conjugate(frames[i]), g), frames[i])
-            rotations[i] = quat_normalize(quat_multiply(local, rotations[i]))
-            pts, frames = _fk(chain, rotations)
-        residual = float(np.linalg.norm(pts[-1] - target_pos))
-        history.append(residual)
-        iterations += 1
-    return IkResult(rotations, pts, residual, iterations, residual <= tol, history)
+    if initial_rotations is not None:
+        initial_rotations = np.asarray(initial_rotations, dtype=float)
+        if initial_rotations.shape != (n, 4):
+            raise ShapeMismatch(f"need one quaternion per link, got shape "
+                                f"{initial_rotations.shape} for {n} links")
+        initial_rotations = initial_rotations[None]
+    rot, pts, residual, iterations, history = ik_solve_batch(
+        [chain.lengths], chain.base[None], target_pos[None], initial_rotations, max_iters, tol)
+    done = int(iterations[0])
+    return IkResult(list(rot[0]), pts[0], float(residual[0]), done, bool(residual[0] <= tol),
+                    history[:done + 1, 0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +543,9 @@ def ik_solve(chain: IkChain, target, initial_rotations=None, max_iters: int = 10
 
 def pose_jump(traj) -> float:
     """Largest frame-to-frame pose change: position norm plus rotation angle."""
-    worst = 0.0
-    for a, b in zip(traj, traj[1:]):
-        jump = float(np.linalg.norm(b.position - a.position)) \
-            + quat_geodesic_angle(a.orientation, b.orientation)
-        worst = max(worst, jump)
-    return worst
+    pos, quat = _stack(traj)
+    jumps = vec_norm(pos[1:] - pos[:-1]) + quat_geodesic_angle(quat[:-1], quat[1:])
+    return max([0.0, *jumps.tolist()])
 
 
 def postprocess_motion(motion: MotionSequence, grasps: dict[str, GraspPose | None],
@@ -570,6 +608,7 @@ def postprocess_motion(motion: MotionSequence, grasps: dict[str, GraspPose | Non
         "wrists": {},
     }
 
+    obj_pos, obj_quat = _stack(traj)
     for hand in ("left", "right"):
         grasp = grasps.get(hand)
         phases = seg.hand(hand)
@@ -578,44 +617,35 @@ def postprocess_motion(motion: MotionSequence, grasps: dict[str, GraspPose | Non
         if wrist_joints is None or hand not in wrist_joints:
             continue
         widx = wrist_joints[hand]
-        old_wrist = [motion.joint_pose(i, widx) for i in range(t)]
-        new_wrist = recompute_wrist(traj, old_wrist, grasp, phases.contact, window)
+        old_pos = motion.joints[:, widx]
+        old_quat = matrix_to_quat(rot6d_decode(motion.joint_rot6d[:, widx]))
+        new_wrist = recompute_wrist(traj, list(map(Pose, old_pos, old_quat)), grasp,
+                                    phases.contact, window)
+        new_pos, new_quat = _stack(new_wrist)
+        joints[:, widx] = new_pos
+        rot6d[:, widx] = rot6d_encode(new_quat)
         ik_residuals = []
-        for i in range(t):
-            joints[i, widx] = new_wrist[i].position
-            rot6d[i, widx] = rot6d_encode(new_wrist[i].orientation)
         if arm_chains and hand in arm_chains:
             shoulder, elbow, wrist = arm_chains[hand]
-            for i in range(t):
-                if np.allclose(new_wrist[i].position, old_wrist[i].position, atol=1e-12):
-                    continue
-                l1 = float(np.linalg.norm(motion.joints[i, elbow] - motion.joints[i, shoulder]))
-                l2 = float(np.linalg.norm(motion.joints[i, wrist] - motion.joints[i, elbow]))
-                if l1 <= 1e-9 or l2 <= 1e-9:
-                    continue
-                chain = IkChain([l1, l2], base=motion.joints[i, shoulder])
-                result = ik_solve(chain, new_wrist[i].position, max_iters=30, tol=1e-6)
-                joints[i, elbow] = result.joint_positions[1]
-                ik_residuals.append(result.residual)
-        deviation = 0.0
-        for i in range(*phases.contact):
-            obj = traj[i]
-            wrist_in_obj = Pose(
-                quat_rotate(quat_conjugate(obj.orientation),
-                            new_wrist[i].position - obj.position),
-                quat_multiply(quat_conjugate(obj.orientation), new_wrist[i].orientation))
-            deviation = max(deviation,
-                            float(np.linalg.norm(wrist_in_obj.position
-                                                 - grasp.wrist_pose.position))
-                            + quat_geodesic_angle(wrist_in_obj.orientation,
-                                                  grasp.wrist_pose.orientation))
+            l1 = vec_norm(motion.joints[:, elbow] - motion.joints[:, shoulder])
+            l2 = vec_norm(motion.joints[:, wrist] - motion.joints[:, elbow])
+            moved = ~np.isclose(new_pos, old_pos, atol=1e-12).all(axis=1)
+            rows = np.flatnonzero(moved & ~((l1 <= 1e-9) | (l2 <= 1e-9)))
+            _, pts, residual, _, _ = ik_solve_batch(
+                np.stack([l1[rows], l2[rows]], axis=1), motion.joints[rows, shoulder],
+                new_pos[rows], max_iters=30, tol=1e-6)
+            joints[rows, elbow] = pts[:, 1]
+            ik_residuals = residual.tolist()
+        cs, ce = phases.contact
+        inverse = quat_conjugate(obj_quat[cs:ce])
+        in_obj_pos = quat_rotate(inverse, new_pos[cs:ce] - obj_pos[cs:ce])
+        in_obj_quat = quat_normalize(quat_multiply(inverse, new_quat[cs:ce]))
+        deviation = vec_norm(in_obj_pos - grasp.wrist_pose.position) \
+            + quat_geodesic_angle(in_obj_quat, grasp.wrist_pose.orientation)
         diagnostics["wrists"][hand] = {
-            "grasp_deviation": deviation,
+            "grasp_deviation": max([0.0, *deviation.tolist()]),
             "ik_residual_max": max(ik_residuals) if ik_residuals else 0.0,
         }
 
-    out = MotionSequence(motion.fps, joints, rot6d,
-                         np.array([p.position for p in traj]),
-                         np.array([p.orientation for p in traj]),
-                         motion.contact.copy())
+    out = MotionSequence(motion.fps, joints, rot6d, obj_pos, obj_quat, motion.contact.copy())
     return out, diagnostics

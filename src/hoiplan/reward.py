@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HoiplanError
-from .geometry import Pose, quat_geodesic_angle
+from .geometry import (Pose, matrix_to_quat, per_element, quat_geodesic_angle, quat_normalize,
+                       rot6d_decode, vec_norm)
 from .scene import MotionSequence, SchemaError, finite, loads, read_text
 
 BODY_WEIGHT = 0.8
@@ -121,6 +122,30 @@ class RewardBreakdown:
     total: float
 
 
+def _effective(weights: BodyWeights, active_object: str | None) -> BodyWeights:
+    """``weights`` with the active object, if any, at unnormalized weight 1."""
+    extra = {} if active_object is None else {active_object: OBJECT_WEIGHT}
+    return BodyWeights({**weights.w_q, **extra}, {**weights.w_p, **extra})
+
+
+def body_reward_batch(sim_quat, ref_quat, sim_pos, ref_pos, w_q, w_p) -> np.ndarray:
+    """Per-frame body reward of (T, L, 4) orientations and (T, L, 3) positions.
+
+    ``w_q`` and ``w_p`` hold one normalized weight per link. Each frame adds
+    its weighted squared errors over the links in order, so every frame
+    rounds exactly as ``body_reward`` on that frame alone.
+    """
+    e_q = quat_geodesic_angle(sim_quat, ref_quat)
+    e_p = vec_norm(np.asarray(sim_pos, dtype=float) - ref_pos)
+    sum_q = np.zeros(len(e_q))
+    sum_p = np.zeros(len(e_p))
+    for b, (wq, wp) in enumerate(zip(w_q, w_p)):
+        sum_q += wq * e_q[:, b] * e_q[:, b]
+        sum_p += wp * e_p[:, b] * e_p[:, b]
+    return 0.5 * per_element(math.exp, -BODY_ERROR_SCALE * sum_q) \
+        + 0.5 * per_element(math.exp, -BODY_ERROR_SCALE * sum_p)
+
+
 def body_reward(sim_frame: dict[str, Pose], ref_frame: dict[str, Pose],
                 weights: BodyWeights = DEFAULT_BODY_WEIGHTS,
                 active_object: str | None = None) -> float:
@@ -136,20 +161,14 @@ def body_reward(sim_frame: dict[str, Pose], ref_frame: dict[str, Pose],
         raise LinkSetMismatch("simulated and reference frames list different links")
     if active_object is not None and active_object not in links:
         raise LinkSetMismatch(f"active object {active_object!r} missing from the frames")
-    effective = BodyWeights(dict(weights.w_q), dict(weights.w_p))
-    if active_object is not None:
-        effective.w_q[active_object] = OBJECT_WEIGHT
-        effective.w_p[active_object] = OBJECT_WEIGHT
-    w_q, w_p = effective.normalized(sorted(links))
-    sum_q = 0.0
-    sum_p = 0.0
-    for b in sorted(links):
-        e_q = quat_geodesic_angle(sim_frame[b].orientation, ref_frame[b].orientation)
-        e_p = float(np.linalg.norm(sim_frame[b].position - ref_frame[b].position))
-        sum_q += w_q[b] * e_q * e_q
-        sum_p += w_p[b] * e_p * e_p
-    return 0.5 * math.exp(-BODY_ERROR_SCALE * sum_q) \
-        + 0.5 * math.exp(-BODY_ERROR_SCALE * sum_p)
+    links = sorted(links)
+    w_q, w_p = _effective(weights, active_object).normalized(links)
+
+    def rows(frame, field):
+        return np.array([[getattr(frame[b], field) for b in links]])
+    return float(body_reward_batch(rows(sim_frame, "orientation"), rows(ref_frame, "orientation"),
+                                   rows(sim_frame, "position"), rows(ref_frame, "position"),
+                                   [w_q[b] for b in links], [w_p[b] for b in links])[0])
 
 
 def alpha_gate(distance: float) -> float:
@@ -202,12 +221,19 @@ def hand_reward(sim: FingerFrame, ref: FingerFrame, hand_object_distance_ref) ->
     return math.exp(-(HAND_ERROR_SCALE / f) * total)
 
 
-def energy_reward(end_effector_accels) -> float:
-    """Penalty on end-effector linear acceleration (feet and hands, no fingers)."""
-    a = np.asarray(end_effector_accels, dtype=float).reshape(-1, 3)
+def energy_reward_batch(end_effector_accels) -> np.ndarray:
+    """Per-frame energy reward of (T, E, 3) end-effector accelerations."""
+    a = np.asarray(end_effector_accels, dtype=float)
     if not np.all(np.isfinite(a)):
         raise NonFiniteInput("accelerations must be finite")
-    return math.exp(-ENERGY_SCALE * float((a * a).sum()))
+    a = a.reshape(len(a), math.prod(a.shape[1:]))
+    return per_element(math.exp, -ENERGY_SCALE * (a * a).sum(axis=1))
+
+
+def energy_reward(end_effector_accels) -> float:
+    """Penalty on end-effector linear acceleration (feet and hands, no fingers)."""
+    return float(energy_reward_batch(
+        np.asarray(end_effector_accels, dtype=float).reshape(1, -1, 3))[0])
 
 
 def total_reward(sim_frame: dict[str, Pose], ref_frame: dict[str, Pose],
@@ -268,8 +294,9 @@ def score_motion(ref: MotionSequence, sim: MotionSequence, weights: BodyWeights,
 
     Without ``joint_names`` every joint weighs 1 and the energy term reads
     1.0, since end effectors cannot be identified; with names, ``weights``
-    applies and the wrists and feet drive the energy term. The motion format
-    carries no finger tracks, so the hand term is 1.0.
+    applies and the wrists and feet drive the energy term. Names must be
+    distinct, and ``object`` names the active object, not a joint. The motion
+    format carries no finger tracks, so the hand term is 1.0.
     """
     if (ref.num_frames, ref.num_joints) != (sim.num_frames, sim.num_joints):
         raise LengthMismatch("reference and simulated motions disagree in shape")
@@ -278,27 +305,43 @@ def score_motion(ref: MotionSequence, sim: MotionSequence, weights: BodyWeights,
         names = [f"joint{j}" for j in range(ref.num_joints)]
         weights = BodyWeights({n: 1.0 for n in names}, {n: 1.0 for n in names})
     else:
-        names = joint_names
+        names = list(joint_names)
         if len(names) != ref.num_joints:
             raise LengthMismatch(f"{len(names)} joint names given for {ref.num_joints} joints")
+        if "object" in names:
+            raise LinkSetMismatch("joint name 'object' is reserved for the active object")
+        repeated = [n for i, n in enumerate(names) if n in names[:i]]
+        if repeated:
+            raise LinkSetMismatch(f"joint name {repeated[0]!r} is given more than once")
 
+    labels = [*names, "object"]  # one column per joint, then the active object
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    links = [labels[k] for k in order]
+    w_q, w_p = _effective(weights, "object").normalized(links)
+    # decoded frame-major, sim before ref, so the first degenerate code in
+    # that order names the error
+    quat = matrix_to_quat(rot6d_decode(np.stack([sim.joint_rot6d, ref.joint_rot6d], axis=1)))
+
+    def columns(joint_rows, object_rows):
+        return np.concatenate([joint_rows, object_rows[:, None]], axis=1)[:, order]
+    per_frame = body_reward_batch(
+        columns(quat[:, 0], quat_normalize(sim.object_quat)),
+        columns(quat[:, 1], quat_normalize(ref.object_quat)),
+        columns(sim.joints, sim.object_pos), columns(ref.joints, ref.object_pos),
+        [w_q[b] for b in links], [w_p[b] for b in links])
+
+    energy = [1.0] * t
     effectors = [j for j, n in enumerate(names)
                  if n in ("left_wrist", "right_wrist", "left_foot", "right_foot")]
-    sim_accels = finite_difference_accels(sim.joints[:, effectors, :], sim.fps) \
-        if effectors else np.zeros((0, 0, 3))
+    if effectors and t >= 3:
+        energy[1:t - 1] = energy_reward_batch(
+            finite_difference_accels(sim.joints[:, effectors, :], sim.fps)).tolist()
 
     body_sum = 0.0
     energy_sum = 0.0
-    for i in range(t):
-        sim_frame = {n: sim.joint_pose(i, j) for j, n in enumerate(names)}
-        ref_frame = {n: ref.joint_pose(i, j) for j, n in enumerate(names)}
-        sim_frame["object"] = sim.object_pose(i)
-        ref_frame["object"] = ref.object_pose(i)
-        body_sum += body_reward(sim_frame, ref_frame, weights, active_object="object")
-        if effectors and 1 <= i <= t - 2:
-            energy_sum += energy_reward(sim_accels[i - 1])
-        else:
-            energy_sum += 1.0
+    for body, en in zip(per_frame.tolist(), energy):  # added in frame order
+        body_sum += body
+        energy_sum += en
     r_body = body_sum / t
     r_hand = 1.0
     r_energy = energy_sum / t

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HoiplanError
-from .geometry import Pose, matrix_to_quat, quat_rotate, rot6d_decode
+from .geometry import Pose, quat_rotate
 from .polygons import convex_hull
 
 
@@ -147,9 +147,6 @@ class MotionSequence:
 
     def object_pose(self, t: int) -> Pose:
         return Pose(self.object_pos[t], self.object_quat[t])
-
-    def joint_pose(self, t: int, j: int) -> Pose:
-        return Pose(self.joints[t, j], matrix_to_quat(rot6d_decode(self.joint_rot6d[t, j])))
 
 
 # ---------------------------------------------------------------------------

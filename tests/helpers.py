@@ -1,15 +1,21 @@
-"""Shared fixture builders, the layout invariant checker, and search oracles."""
+"""Shared fixture builders, the layout invariant checker, and the scalar oracles
+of the batched planner, rotation, scoring and IK kernels."""
 
 import heapq
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from hoiplan.geometry import Pose, quat_rotate
+from hoiplan.geometry import DegenerateRotation, Pose, quat_rotate
+from hoiplan.motion import IkChain, IkResult, object_contact_span, pose_delta, segment_phases
 from hoiplan.planner import NoPath, OccupancyGrid, PathResult, _window
 from hoiplan.polygons import convex_distance, point_to_convex_distance, polygon_contains
 from hoiplan.relations import Adjacent, Facing, On, compass_vector
-from hoiplan.scene import (ObjectSpec, Scene, bottom_height, footprint, top_surface_height)
+from hoiplan.reward import (BODY_ERROR_SCALE, ENERGY_SCALE, BodyWeights,
+                            finite_difference_accels, tracking_error)
+from hoiplan.scene import (MotionSequence, ObjectSpec, Scene, bottom_height, footprint,
+                           top_surface_height)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -329,3 +335,328 @@ def make_random_scene(rng):
     scene = Scene(objects, bounds=np.array([-10.0, -10.0, 10.0, 10.0]))
     order = rng.permutation(len(relations))
     return scene, [relations[i] for i in order]
+
+
+# ---------------------------------------------------------------------------
+# scalar oracles for the batched rotation, scoring and IK kernels: the
+# per-vector, per-frame and per-chain code those kernels replaced
+
+def same_bits(a, b) -> bool:
+    """Equal shape and equal bits (so -0.0 differs from 0.0 and NaN equals NaN)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def quat_normalize_oracle(q):
+    q = np.asarray(q, dtype=float)
+    n = float(np.linalg.norm(q))
+    if n < 1e-12:
+        raise DegenerateRotation("quaternion norm is zero")
+    if abs(n - 1.0) < 1e-9:
+        return q
+    return q / n
+
+
+def _q_multiply(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ])
+
+
+def _q_conjugate(q):
+    return np.array([q[0], -q[1], -q[2], -q[3]])
+
+
+def _q_rotate(q, v):
+    u = np.asarray(q[1:], dtype=float)
+    t = 2.0 * np.cross(u, v)
+    return v + float(q[0]) * t + np.cross(u, t)
+
+
+def _q_from_axis_angle(a):
+    angle = float(np.linalg.norm(a))
+    if angle < 1e-12:
+        return quat_normalize_oracle(np.array([1.0, 0.5 * a[0], 0.5 * a[1], 0.5 * a[2]]))
+    axis = a / angle
+    half = 0.5 * angle
+    s = math.sin(half)
+    return np.array([math.cos(half), s * axis[0], s * axis[1], s * axis[2]])
+
+
+def geodesic_angle_oracle(a, b) -> float:
+    rel = _q_multiply(_q_conjugate(a), b)
+    return 2.0 * math.atan2(float(np.linalg.norm(rel[1:])), abs(float(rel[0])))
+
+
+def rot6d_decode_oracle(r6):
+    r6 = np.asarray(r6, dtype=float).reshape(6)
+    a, b = r6[:3], r6[3:]
+    na = float(np.linalg.norm(a))
+    if na <= 1e-8:
+        raise DegenerateRotation("first 6D column is near zero")
+    x = a / na
+    b_perp = b - np.dot(x, b) * x
+    nb = float(np.linalg.norm(b_perp))
+    if nb <= 1e-8:
+        raise DegenerateRotation("6D columns are parallel")
+    y = b_perp / nb
+    return np.stack([x, y, np.cross(x, y)], axis=1)
+
+
+def matrix_to_quat_oracle(m):
+    m = np.asarray(m, dtype=float)
+    t = m[0, 0] + m[1, 1] + m[2, 2]
+    if t > 0:
+        s = math.sqrt(t + 1.0) * 2.0
+        q = np.array([0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s,
+                      (m[1, 0] - m[0, 1]) / s])
+    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+        q = np.array([(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s,
+                      (m[0, 2] + m[2, 0]) / s])
+    elif m[1, 1] > m[2, 2]:
+        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+        q = np.array([(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s,
+                      (m[1, 2] + m[2, 1]) / s])
+    else:
+        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+        q = np.array([(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s,
+                      (m[1, 2] + m[2, 1]) / s, 0.25 * s])
+    return quat_canonical_oracle(quat_normalize_oracle(q))
+
+
+def quat_canonical_oracle(q):
+    q = np.asarray(q, dtype=float)
+    for c in q:
+        if abs(c) > 1e-12:
+            return q if c > 0 else -q
+    return q
+
+
+def body_reward_oracle(sim_frame, ref_frame, weights, active_object=None) -> float:
+    """Frames map link names to anything with .position and .orientation."""
+    w_q = dict(weights.w_q)
+    w_p = dict(weights.w_p)
+    if active_object is not None:
+        w_q[active_object] = w_p[active_object] = 1.0
+    links = sorted(sim_frame)
+    sq = sum(w_q.get(b, 0.0) for b in links)
+    sp = sum(w_p.get(b, 0.0) for b in links)
+    sum_q = 0.0
+    sum_p = 0.0
+    for b in links:
+        e_q = geodesic_angle_oracle(sim_frame[b].orientation, ref_frame[b].orientation)
+        e_p = float(np.linalg.norm(sim_frame[b].position - ref_frame[b].position))
+        sum_q += w_q.get(b, 0.0) / sq * e_q * e_q
+        sum_p += w_p.get(b, 0.0) / sp * e_p * e_p
+    return 0.5 * math.exp(-BODY_ERROR_SCALE * sum_q) + 0.5 * math.exp(-BODY_ERROR_SCALE * sum_p)
+
+
+def _energy_oracle(accels) -> float:
+    a = np.asarray(accels, dtype=float).reshape(-1, 3)
+    return math.exp(-ENERGY_SCALE * float((a * a).sum()))
+
+
+@dataclass
+class _Link:
+    position: np.ndarray
+    orientation: np.ndarray
+
+
+def score_motion_oracle(ref, sim, weights, joint_names=None) -> dict:
+    """Per-frame scorer: one Pose dict and one body reward per frame."""
+    t = ref.num_frames
+    if joint_names is None:
+        names = [f"joint{j}" for j in range(ref.num_joints)]
+        weights = BodyWeights({n: 1.0 for n in names}, {n: 1.0 for n in names})
+    else:
+        names = joint_names
+    effectors = [j for j, n in enumerate(names)
+                 if n in ("left_wrist", "right_wrist", "left_foot", "right_foot")]
+    accels = finite_difference_accels(sim.joints[:, effectors, :], sim.fps)
+
+    def frame(m, i):
+        out = {n: _Link(m.joints[i, j], matrix_to_quat_oracle(rot6d_decode_oracle(
+            m.joint_rot6d[i, j]))) for j, n in enumerate(names)}
+        out["object"] = _Link(m.object_pos[i], quat_normalize_oracle(m.object_quat[i]))
+        return out
+
+    body_sum = 0.0
+    energy_sum = 0.0
+    for i in range(t):
+        body_sum += body_reward_oracle(frame(sim, i), frame(ref, i), weights, "object")
+        energy_sum += _energy_oracle(accels[i - 1]) if effectors and 1 <= i <= t - 2 else 1.0
+    r_body = body_sum / t
+    r_energy = energy_sum / t
+    err = tracking_error(sim, ref)
+    return {"frames": t, "tracking_error": {"e_h_cm": err.e_h_cm, "e_o_cm": err.e_o_cm},
+            "reward": {"r_body": r_body, "r_hand": 1.0, "r_energy": r_energy,
+                       "total": 0.8 * r_body + 0.2 * 1.0 + 0.05 * r_energy}}
+
+
+def fk_oracle(chain, rotations):
+    pts = [chain.base]
+    frames = []
+    frame = np.array([1.0, 0.0, 0.0, 0.0])
+    for length, q in zip(chain.lengths, rotations):
+        frames.append(frame)
+        frame = _q_multiply(frame, q)
+        pts.append(pts[-1] + _q_rotate(frame, np.array([length, 0.0, 0.0])))
+    return np.array(pts), frames
+
+
+def _align_quat_oracle(v_from, v_to):
+    a = v_from / np.linalg.norm(v_from)
+    b = v_to / np.linalg.norm(v_to)
+    c = np.cross(a, b)
+    d = float(a @ b)
+    n = float(np.linalg.norm(c))
+    if n < 1e-12:
+        if d > 0:
+            return np.array([1.0, 0.0, 0.0, 0.0])
+        perp = np.cross(a, [1.0, 0.0, 0.0])
+        if np.linalg.norm(perp) < 1e-9:
+            perp = np.cross(a, [0.0, 1.0, 0.0])
+        perp /= np.linalg.norm(perp)
+        return np.array([0.0, perp[0], perp[1], perp[2]])
+    return _q_from_axis_angle(c / n * math.atan2(n, d))
+
+
+def ik_solve_oracle(chain, target, initial_rotations=None, max_iters=100, tol=1e-5):
+    """One chain, one joint at a time: CCD as ik_solve ran before it was batched."""
+    target = np.asarray(target, dtype=float).reshape(3)
+    n = len(chain.lengths)
+    rotations = [quat_normalize_oracle(q) for q in initial_rotations] \
+        if initial_rotations is not None else [np.array([1.0, 0.0, 0.0, 0.0])] * n
+    pts, frames = fk_oracle(chain, rotations)
+    residual = float(np.linalg.norm(pts[-1] - target))
+    history = [residual]
+    iterations = 0
+    while residual > tol and iterations < max_iters:
+        for i in range(n - 1, -1, -1):
+            v1 = pts[-1] - pts[i]
+            v2 = target - pts[i]
+            if np.linalg.norm(v1) < 1e-12 or np.linalg.norm(v2) < 1e-12:
+                continue
+            g = _align_quat_oracle(v1, v2)
+            local = _q_multiply(_q_multiply(_q_conjugate(frames[i]), g), frames[i])
+            rotations[i] = quat_normalize_oracle(_q_multiply(local, rotations[i]))
+            pts, frames = fk_oracle(chain, rotations)
+        residual = float(np.linalg.norm(pts[-1] - target))
+        history.append(residual)
+        iterations += 1
+    return IkResult(rotations, pts, residual, iterations, residual <= tol, history)
+
+
+def _rot6d_encode_oracle(q):
+    w, x, y, z = q
+    m = np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+    return np.concatenate([m[:, 0], m[:, 1]])
+
+
+def _pose_jump_oracle(traj) -> float:
+    worst = 0.0
+    for a, b in zip(traj, traj[1:]):
+        worst = max(worst, float(np.linalg.norm(b.position - a.position))
+                    + geodesic_angle_oracle(a.orientation, b.orientation))
+    return worst
+
+
+def _smooth_boundary_oracle(traj, boundary, window, static_pose, direction):
+    delta = pose_delta(static_pose, traj[boundary])
+    out = list(traj)
+    if float(np.abs(delta).max()) < 1e-12:
+        return out
+    for k in range(window):
+        i = boundary + k if direction == "forward" else boundary - k
+        if not 0 <= i < len(traj):
+            break
+        alpha = 1.0 - k / window
+        out[i] = Pose(traj[i].position + alpha * delta[:3],
+                      _q_multiply(_q_from_axis_angle(alpha * delta[3:]), traj[i].orientation))
+    return out
+
+
+def postprocess_oracle(motion, grasps, threshold, min_run, window, wrist_joints, arm_chains):
+    """postprocess_motion frame by frame: one wrist pose, one encode and one CCD chain
+    per frame. Contact segmentation and pose_delta are shared with hoiplan.motion."""
+    t = motion.num_frames
+    seg = segment_phases(motion.contact, threshold, min_run)
+    span = object_contact_span(seg)
+    before = [Pose(motion.object_pos[i], motion.object_quat[i]) for i in range(t)]
+    traj = [before[0]] * t
+    if span is not None:
+        s, e = span
+        traj = [before[0]] * s + before[s:e] + [before[-1]] * (t - e)
+        win = max(1, min(window, e - s))
+        if s > 0:
+            traj = _smooth_boundary_oracle(traj, s, win, before[0], "forward")
+        if e < t:
+            traj = _smooth_boundary_oracle(traj, e - 1, win, before[-1], "backward")
+    joints = motion.joints.copy()
+    rot6d = motion.joint_rot6d.copy()
+    diagnostics = {
+        "segmentation": {hand: {"pre": list(seg.hand(hand).pre),
+                                "contact": list(seg.hand(hand).contact),
+                                "post": list(seg.hand(hand).post)} for hand in ("left", "right")},
+        "object_jump_before": _pose_jump_oracle(before),
+        "object_jump_after": _pose_jump_oracle(traj),
+        "wrists": {},
+    }
+    for hand in ("left", "right"):
+        grasp = grasps.get(hand)
+        phases = seg.hand(hand)
+        if grasp is None or not phases.has_contact or hand not in wrist_joints:
+            continue
+        w = wrist_joints[hand]
+        g = grasp.wrist_pose
+        old = [Pose(motion.joints[i, w],
+                    matrix_to_quat_oracle(rot6d_decode_oracle(motion.joint_rot6d[i, w])))
+               for i in range(t)]
+        cs, ce = phases.contact
+        new = list(old)
+        for i in range(cs, ce):
+            new[i] = Pose(_q_rotate(traj[i].orientation, g.position) + traj[i].position,
+                          _q_multiply(traj[i].orientation, g.orientation))
+        if cs > 0:
+            new[:cs] = _smooth_boundary_oracle(old, cs, window, new[cs], "backward")[:cs]
+        if ce < t:
+            new[ce:] = _smooth_boundary_oracle(old, ce - 1, window, new[ce - 1], "forward")[ce:]
+        residuals = []
+        for i in range(t):
+            joints[i, w] = new[i].position
+            rot6d[i, w] = _rot6d_encode_oracle(new[i].orientation)
+        if hand in arm_chains:
+            shoulder, elbow, wrist = arm_chains[hand]
+            for i in range(t):
+                if np.allclose(new[i].position, old[i].position, atol=1e-12):
+                    continue
+                l1 = float(np.linalg.norm(motion.joints[i, elbow] - motion.joints[i, shoulder]))
+                l2 = float(np.linalg.norm(motion.joints[i, wrist] - motion.joints[i, elbow]))
+                if l1 <= 1e-9 or l2 <= 1e-9:
+                    continue
+                result = ik_solve_oracle(IkChain([l1, l2], base=motion.joints[i, shoulder]),
+                                         new[i].position, max_iters=30, tol=1e-6)
+                joints[i, elbow] = result.joint_positions[1]
+                residuals.append(result.residual)
+        deviation = 0.0
+        for i in range(cs, ce):
+            inv = _q_conjugate(traj[i].orientation)
+            rel = Pose(_q_rotate(inv, new[i].position - traj[i].position),
+                       _q_multiply(inv, new[i].orientation))
+            deviation = max(deviation, float(np.linalg.norm(rel.position - g.position))
+                            + geodesic_angle_oracle(rel.orientation, g.orientation))
+        diagnostics["wrists"][hand] = {"grasp_deviation": deviation,
+                                       "ik_residual_max": max(residuals) if residuals else 0.0}
+    out = MotionSequence(motion.fps, joints, rot6d, np.array([p.position for p in traj]),
+                         np.array([p.orientation for p in traj]), motion.contact.copy())
+    return out, diagnostics

@@ -429,6 +429,23 @@ def test_malformed_joint_index_is_usage_error(flag, value, tmp_path, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold", "-0.1"),
+    ("--threshold", "2"), ("--min-run", "-2"), ("--min-run", "0"), ("--min-run", "1.5"),
+    ("--window", "0"), ("--window", "-1"), ("--window", "x")])
+def test_invalid_postprocess_flag_is_usage_error(flag, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(postprocess_argv(tmp_path) + [flag, value])
+    assert e.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--threshold", "0"], ["--threshold", "1"],
+                                   ["--min-run", "1", "--window", "1"]])
+def test_postprocess_flag_range_ends_are_accepted(flags, tmp_path, capsys):
+    assert main(postprocess_argv(tmp_path) + flags) == 0
+
+
 @pytest.mark.parametrize("command,flags", [
     ("route", ["--resolution", "0"]), ("route", ["--resolution", "nan"]),
     ("route", ["--resolution", "-1"]), ("route", ["--resolution", "inf"]),

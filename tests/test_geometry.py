@@ -1,13 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from helpers import (geodesic_angle_oracle, matrix_to_quat_oracle, quat_canonical_oracle,
+                     quat_normalize_oracle, rot6d_decode_oracle, same_bits)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoiplan.geometry import (BpsEncoding, DegenerateRotation, EmptyCloud, Pose, bps_basis,
                               bps_encode, compose, invert, matrix_to_quat, nearest_distances,
                               quat_from_axis_angle, quat_from_yaw, quat_geodesic_angle,
-                              quat_multiply, quat_rotate, quat_to_axis_angle, quat_to_matrix,
-                              random_quat, rot6d_decode, rot6d_encode)
+                              quat_canonical, quat_multiply, quat_normalize, quat_rotate,
+                              quat_to_axis_angle, quat_to_matrix, random_quat, rot6d_decode,
+                              rot6d_encode, vec_norm)
 
 
 def yaw_matrix(angle):
@@ -203,3 +209,140 @@ def test_quat_multiply_matches_matrix_product():
         a, b = random_quat(rng), random_quat(rng)
         m = quat_to_matrix(quat_multiply(a, b))
         assert np.allclose(m, quat_to_matrix(a) @ quat_to_matrix(b), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against their scalar oracles, bit for bit
+
+def _special_rotations():
+    """Signed permutation matrices (trace exactly 0 or -1, diagonal ties, quaternions
+    with leading zeros) and half turns about diagonal axes (m00 == m11 ties)."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            m = np.zeros((3, 3))
+            m[list(perm), range(3)] = signs
+            if np.linalg.det(m) > 0:
+                out.append(m)
+    for axis in ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, -1, 0), (0, 1, -1)):
+        a = np.array(axis, dtype=float) / np.linalg.norm(axis)
+        out.append(2.0 * np.outer(a, a) - np.eye(3))
+    return out
+
+
+SPECIAL_CODES = [np.concatenate([m[:, 0], m[:, 1]]) for m in _special_rotations()]
+_component = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-9, -1e-13]),
+                       st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+_code = st.one_of(
+    st.sampled_from(SPECIAL_CODES),
+    st.tuples(st.sampled_from(SPECIAL_CODES), st.floats(0.01, 100.0)).map(lambda c: c[0] * c[1]),
+    st.lists(_component, min_size=6, max_size=6).map(np.array))
+
+
+def _first_oracle_error(codes):
+    for code in codes:
+        try:
+            rot6d_decode_oracle(code)
+        except DegenerateRotation as e:
+            return str(e)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_code, min_size=1, max_size=24), st.integers(1, 3))
+def test_decode_to_quat_batch_matches_scalar_oracle(codes, rows):
+    codes = np.array(codes)
+    batch = codes.reshape(rows, -1, 6) if len(codes) % rows == 0 else codes
+    expected = _first_oracle_error(codes)
+    if expected is not None:
+        with pytest.raises(DegenerateRotation) as e:
+            rot6d_decode(batch)
+        assert str(e.value) == expected
+        return
+    matrices = rot6d_decode(batch)
+    quats = matrix_to_quat(matrices)
+    for code, m, q in zip(codes, matrices.reshape(-1, 3, 3), quats.reshape(-1, 4)):
+        want_m = rot6d_decode_oracle(code)
+        want_q = matrix_to_quat_oracle(want_m)
+        assert same_bits(m, want_m) and same_bits(q, want_q)
+        assert same_bits(rot6d_decode(code), want_m)   # one code, no batch axis
+        assert same_bits(matrix_to_quat(want_m), want_q)
+
+
+def test_special_rotations_cover_every_branch_and_sign():
+    qs = [matrix_to_quat_oracle(rot6d_decode_oracle(c)) for c in SPECIAL_CODES]
+    traces = {float(np.trace(m)) for m in _special_rotations()}
+    assert 0.0 in traces and -1.0 in traces
+    assert {int(np.argmax(np.abs(q))) for q in qs} == {0, 1, 2, 3}
+    assert any(q[0] == 0.0 and q[1] == 0.0 for q in qs)  # two leading zeros
+    raw = _special_rotations()
+    assert same_bits(matrix_to_quat(np.array(raw)), [matrix_to_quat_oracle(m) for m in raw])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from(SPECIAL_CODES + [None]), st.floats(0.25, 4.0),
+                          st.integers(0, 2**32 - 1)), min_size=1, max_size=8))
+def test_matrix_to_quat_of_scaled_rotations_matches_oracle(cases):
+    """Scaled rotations leave the quaternion off unit length, so normalize divides."""
+    mats = []
+    for code, scale, seed in cases:
+        rot = rot6d_decode_oracle(code) if code is not None else \
+            quat_to_matrix(random_quat(np.random.default_rng(seed)))
+        mats.append(scale * rot)
+    got = matrix_to_quat(np.array(mats))
+    for m, q in zip(mats, got):
+        assert same_bits(q, matrix_to_quat_oracle(m))
+
+
+@pytest.mark.parametrize("bad,message", [
+    ([0, 0, 0, 0, 1, 0], "first 6D column is near zero"),
+    ([1e-9, 0, 0, 0, 1, 0], "first 6D column is near zero"),
+    ([1, 2, 3, 2, 4, 6], "6D columns are parallel"),
+    ([1, 0, 0, -3, 0, 0], "6D columns are parallel"),
+    ([1, 0, 0, 0, 0, 0], "6D columns are parallel")])
+@pytest.mark.parametrize("where", [0, 4, 9])
+def test_degenerate_code_in_a_batch_raises_the_scalar_message(bad, message, where):
+    codes = np.tile([1.0, 0, 0, 0, 1, 0], (10, 1))
+    codes[where] = bad
+    with pytest.raises(DegenerateRotation, match=f"^{message}$"):
+        rot6d_decode_oracle(bad)
+    with pytest.raises(DegenerateRotation, match=f"^{message}$"):
+        rot6d_decode(codes.reshape(2, 5, 6))
+    if where < 9:  # the first bad code in row-major order decides the message
+        other = [1, 0, 0, 2, 0, 0] if "zero" in message else [0, 0, 0, 1, 1, 1]
+        codes[9] = other
+        with pytest.raises(DegenerateRotation, match=f"^{message}$"):
+            rot6d_decode(codes)
+
+
+_quat = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-2.0, 2.0)),
+                 min_size=4, max_size=4).map(np.array)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_quat, _quat), min_size=1, max_size=12))
+def test_geodesic_angle_and_normalize_batches_match_oracle(pairs):
+    a = np.array([p[0] for p in pairs])
+    b = np.array([p[1] for p in pairs])
+    got = quat_geodesic_angle(a, b)
+    for i, (qa, qb) in enumerate(pairs):
+        want = geodesic_angle_oracle(qa, qb)
+        assert same_bits(got[i], want) and same_bits(quat_geodesic_angle(qa, qb), want)
+    live = [q for q in a if np.linalg.norm(q) >= 1e-12]
+    if live:
+        assert same_bits(quat_normalize(np.array(live)), np.array([quat_normalize_oracle(q) for q in live]))
+    assert same_bits(quat_canonical(a), np.array([quat_canonical_oracle(q) for q in a]))
+
+
+@pytest.mark.parametrize("q", [[-1e-13, 0.0, 0.0, 0.0], [0.0, -0.0, -1e-13, 2e-13],
+                               [0.0, -1e-12, -0.5, 0.1], [-0.0, 0.0, 0.0, -1.0]])
+def test_canonical_sign_ignores_components_up_to_1e_12(q):
+    assert same_bits(quat_canonical(q), quat_canonical_oracle(q))
+    assert same_bits(quat_canonical([q, q]), [quat_canonical_oracle(q)] * 2)
+
+
+@pytest.mark.parametrize("width", [3, 4, 6])
+def test_vec_norm_of_strided_rows_matches_linalg_norm(width):
+    """vecdot on rows of non-unit stride rounds apart from np.linalg.norm."""
+    rows = np.random.default_rng(8).normal(size=(width, 4000)).T  # each row strided
+    assert same_bits(vec_norm(rows), [np.linalg.norm(r) for r in rows])

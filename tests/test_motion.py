@@ -3,16 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from conftest import build_interaction_motion
+from helpers import fk_oracle, ik_solve_oracle, postprocess_oracle, same_bits
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoiplan.geometry import (Pose, compose, invert, quat_conjugate, quat_from_axis_angle,
                               quat_from_yaw, quat_geodesic_angle, quat_multiply, quat_rotate,
                               random_quat)
 from hoiplan.motion import (EmptyContact, GraspPose, HandPhases, IkChain, ShapeMismatch,
                             WindowOutOfRange, average_pose, build_conditions, grasp_world_pose,
-                            ik_solve, object_contact_span, points_in_wrist_frame, pose_delta,
-                            ramp_poses, recompute_wrist, relative_pose_loss, sample_box_surface,
-                            segment_hand, segment_phases, smooth_boundary)
-from hoiplan.scene import MotionSequence
+                            ik_solve, ik_solve_batch, object_contact_span, points_in_wrist_frame,
+                            pose_delta, postprocess_motion, ramp_poses, recompute_wrist,
+                            relative_pose_loss, sample_box_surface, segment_hand, segment_phases,
+                            smooth_boundary)
+from hoiplan.scene import MotionSequence, dump_json, motion_to_json
 
 
 def random_pose(rng):
@@ -468,3 +473,107 @@ def test_grasp_world_pose_matches_compose():
     obj = random_pose(rng)
     grasp = GraspPose(random_pose(rng))
     assert grasp_world_pose(obj, grasp).almost_equal(compose(obj, grasp.wrist_pose), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# lockstep CCD against the one-chain oracle
+
+TARGET_KINDS = ("reachable", "unreachable", "base", "antiparallel", "parallel")
+
+
+@st.composite
+def ik_cases(draw, links):
+    """(chain, target, initial rotations or None) with a target of a chosen kind."""
+    floats = st.floats(-1.0, 1.0)
+    lengths = [draw(st.floats(0.05, 1.5)) for _ in range(links)]
+    chain = IkChain(lengths, base=np.array([draw(floats) for _ in range(3)]))
+    rotations = None
+    if draw(st.booleans()):
+        rotations = np.array([[draw(st.floats(-2.0, 2.0)) for _ in range(4)]
+                              for _ in range(links)])
+        rotations[np.linalg.norm(rotations, axis=1) < 1e-3] = [1.0, 0.0, 0.0, 0.0]
+    kind = draw(st.sampled_from(TARGET_KINDS))
+    direction = np.array([draw(floats) for _ in range(3)])
+    if np.linalg.norm(direction) < 1e-3:
+        direction = np.array([0.0, 0.0, 1.0])
+    direction /= np.linalg.norm(direction)
+    if kind == "reachable":
+        target = chain.base + direction * draw(st.floats(0.0, 1.0)) * chain.reach
+    elif kind == "unreachable":
+        target = chain.base + direction * draw(st.floats(1.05, 3.0)) * chain.reach
+    elif kind == "base":
+        target = chain.base.copy()
+    else:  # on the line through a joint and the end effector, beyond or behind it
+        pts, _ = fk_oracle(chain, rotations if rotations is not None
+                            else [np.array([1.0, 0.0, 0.0, 0.0])] * links)
+        pivot = pts[draw(st.integers(0, links - 1))]
+        k = draw(st.floats(0.1, 2.0)) * (-1.0 if kind == "antiparallel" else 1.0)
+        target = pivot + k * (pts[-1] - pivot)
+    return chain, target, rotations
+
+
+def assert_same_result(got, want):
+    assert same_bits(np.array(got.rotations), np.array(want.rotations))
+    assert same_bits(got.joint_positions, want.joint_positions)
+    assert same_bits(got.residual_history, want.residual_history)
+    assert got.residual.hex() == want.residual.hex()
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert type(got.iterations) is int and type(got.residual) is float
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3).flatmap(ik_cases), st.integers(0, 40),
+       st.sampled_from([1e-5, 1e-6, 1e-9]))
+def test_ik_solve_matches_one_chain_oracle(case, max_iters, tol):
+    chain, target, rotations = case
+    assert_same_result(ik_solve(chain, target, rotations, max_iters, tol),
+                       ik_solve_oracle(chain, target, rotations, max_iters, tol))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(ik_cases(n), min_size=1, max_size=12)),
+       st.integers(1, 30), st.booleans())
+def test_lockstep_ik_matches_oracle_per_chain(cases, max_iters, with_rotations):
+    """Chains that stop after different sweep counts or skip joints do not disturb the rest."""
+    identity = [[1.0, 0.0, 0.0, 0.0]] * len(cases[0][0].lengths)
+    initial = [r if r is not None else identity for _, _, r in cases] \
+        if with_rotations else None
+    rot, pts, residual, iterations, history = ik_solve_batch(
+        [c.lengths for c, _, _ in cases], [c.base for c, _, _ in cases],
+        [t for _, t, _ in cases], initial, max_iters=max_iters, tol=1e-6)
+    for k, (chain, target, _) in enumerate(cases):
+        want = ik_solve_oracle(chain, target, initial[k] if initial else None, max_iters, 1e-6)
+        assert same_bits(rot[k], np.array(want.rotations))
+        assert same_bits(pts[k], want.joint_positions)
+        assert residual[k].hex() == want.residual.hex() and iterations[k] == want.iterations
+        assert same_bits(history[:want.iterations + 1, k], want.residual_history)
+
+
+def test_ik_initial_rotations_need_one_per_link():
+    with pytest.raises(ShapeMismatch):
+        ik_solve(IkChain([1.0, 1.0]), [1.0, 0.0, 0.0], initial_rotations=[[1.0, 0, 0, 0]])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(10, 40), st.data())
+def test_postprocess_matches_per_frame_oracle(t, data):
+    """Batched wrist rebuild, encode, lockstep IK and deviation against the frame loop."""
+    s = data.draw(st.integers(0, t - 2))
+    e = data.draw(st.integers(s + 1, t))
+    motion, grasp = build_interaction_motion(t=t, contact_range=(s, e), seed=data.draw(
+        st.integers(0, 1000)), noise=data.draw(st.sampled_from([0.0, 0.01, 0.05])))
+    grasps = {"left": None, "right": grasp}
+    if data.draw(st.booleans()):  # a second hand, held over its own frames
+        ls = data.draw(st.integers(0, t - 1))
+        motion.contact[ls:data.draw(st.integers(ls + 1, t)), 0] = 1.0
+        rng = np.random.default_rng(ls)
+        grasps["left"] = GraspPose(Pose(rng.normal(scale=0.2, size=3), random_quat(rng)))
+    wrists = {"left": 0, "right": 3}
+    chains = data.draw(st.sampled_from([{}, {"right": (1, 2, 3)},
+                                        {"left": (1, 2, 0), "right": (1, 2, 3)}]))
+    args = (data.draw(st.sampled_from([0.0, 0.5, 1.0])), data.draw(st.integers(1, 6)),
+            data.draw(st.integers(1, 15)), wrists, chains)
+    got, got_diag = postprocess_motion(motion, grasps, *args)
+    want, want_diag = postprocess_oracle(motion, grasps, *args)
+    assert dump_json(motion_to_json(got)) == dump_json(motion_to_json(want))
+    assert dump_json(got_diag) == dump_json(want_diag)

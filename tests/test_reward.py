@@ -1,15 +1,21 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from helpers import body_reward_oracle, score_motion_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hoiplan.geometry import Pose, quat_from_axis_angle, random_quat
+import hoiplan.reward
+from hoiplan.cli import main
+from hoiplan.geometry import Pose, quat_from_axis_angle, random_quat, rot6d_encode
 from hoiplan.reward import (ALPHA_FAR, ALPHA_NEAR, DEFAULT_BODY_WEIGHTS, BodyWeights,
                             FingerFrame, FingerSetMismatch, LengthMismatch, LinkSetMismatch,
                             NonFiniteInput, RewardBreakdown, alpha_gate, body_reward,
                             energy_reward, finite_difference_accels, hand_reward,
-                            total_reward, tracking_error, weights_to_json)
-from hoiplan.scene import MotionSequence
+                            score_motion, total_reward, tracking_error, weights_to_json)
+from hoiplan.scene import MotionSequence, dump_json, save_motion
 
 
 def identity_frame(links):
@@ -279,3 +285,95 @@ def test_weights_json_round_trip(tmp_path):
     again = load_weights(path)
     assert again.w_q == DEFAULT_BODY_WEIGHTS.w_q
     assert again.w_p == DEFAULT_BODY_WEIGHTS.w_p
+
+
+# ---------------------------------------------------------------------------
+# batched scoring against the per-frame scorer
+
+def random_motion(rng, t, j):
+    quats = rng.normal(size=(t, j, 4))
+    rot6d = rot6d_encode(quats / np.linalg.norm(quats, axis=-1, keepdims=True))
+    return MotionSequence(30, rng.normal(scale=0.5, size=(t, j, 3)), rot6d,
+                          rng.normal(size=(t, 3)), rng.normal(size=(t, 4)), np.zeros((t, 2)))
+
+
+def perturbed(rng, motion, scale):
+    """A copy with noise of the given scale on joints, 6D codes and object pose,
+    leaving about 30% of the frames exact."""
+    out = MotionSequence(motion.fps, motion.joints.copy(), motion.joint_rot6d.copy(),
+                         motion.object_pos.copy(), motion.object_quat.copy(),
+                         motion.contact.copy())
+    keep = rng.uniform(size=motion.num_frames) < 0.3
+    for arr in (out.joints, out.joint_rot6d, out.object_pos, out.object_quat):
+        noise = rng.normal(scale=scale, size=arr.shape)
+        noise[keep] = 0.0
+        arr += noise
+    return out
+
+
+_LINK_NAMES = sorted(hoiplan.reward.DEFAULT_W_Q) + ["left_toe", "custom"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 9), st.integers(1, 12), st.floats(0.0, 0.5), st.booleans(),
+       st.integers(0, 2**32 - 1), st.data())
+def test_score_motion_matches_per_frame_oracle(t, j, scale, named, seed, data):
+    rng = np.random.default_rng(seed)
+    ref = random_motion(rng, t, j)
+    sim = perturbed(rng, ref, scale)
+    names = data.draw(st.lists(st.sampled_from(_LINK_NAMES), min_size=j, max_size=j,
+                               unique=True)) if named else None
+    weights = DEFAULT_BODY_WEIGHTS
+    if data.draw(st.booleans()):
+        weights = BodyWeights({n: data.draw(st.floats(0.0, 2.0)) for n in _LINK_NAMES[::2]},
+                              {n: data.draw(st.floats(0.0, 2.0)) for n in _LINK_NAMES[1::2]})
+    got = score_motion(ref, sim, weights, names)
+    assert dump_json(got) == dump_json(score_motion_oracle(ref, sim, weights, names))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_body_reward_matches_oracle(links, seed, active):
+    rng = np.random.default_rng(seed)
+    names = [f"l{i}" for i in range(links)]
+    sim = {n: Pose(rng.normal(size=3), random_quat(rng)) for n in names}
+    ref = {n: Pose(rng.normal(size=3), random_quat(rng)) for n in names}
+    weights = BodyWeights({n: float(rng.uniform()) for n in names},
+                          {n: float(rng.uniform()) for n in names})
+    obj = names[-1] if active else None
+    want = body_reward_oracle(sim, ref, weights, obj)
+    assert body_reward(sim, ref, weights, obj).hex() == want.hex()
+
+
+def test_score_decodes_each_motion_in_one_batch(monkeypatch):
+    """A 300x22 clip is decoded in at most two calls, not once per frame and joint."""
+    rng = np.random.default_rng(5)
+    ref = random_motion(rng, 300, 22)
+    sim = perturbed(rng, ref, 0.01)
+    calls = []
+    decode = hoiplan.reward.rot6d_decode
+
+    def counted(r6):
+        calls.append(np.shape(r6))
+        return decode(r6)
+    monkeypatch.setattr(hoiplan.reward, "rot6d_decode", counted)
+    for names in ([f"joint{j}" for j in range(22)], None):
+        calls.clear()
+        score_motion(ref, sim, DEFAULT_BODY_WEIGHTS, names)
+        assert 1 <= len(calls) <= 2
+
+
+@pytest.mark.parametrize("names,message", [
+    ("root,root,left_wrist,right_wrist", "joint name 'root' is given more than once"),
+    ("root,object,left_wrist,right_wrist", "joint name 'object' is reserved")])
+def test_duplicate_or_reserved_joint_name_is_rejected(names, message, tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    ref = random_motion(rng, 12, 4)
+    save_motion(ref, tmp_path / "ref.json")
+    save_motion(perturbed(rng, ref, 0.05), tmp_path / "sim.json")
+    rc = main(["score", "--ref", str(tmp_path / "ref.json"), "--sim", str(tmp_path / "sim.json"),
+               "--joint-names", names])
+    assert rc == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "reward.link_set_mismatch"
+    assert error["message"].startswith(message)
