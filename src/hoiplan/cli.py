@@ -137,7 +137,7 @@ def cmd_plan(args) -> int:
         "warnings": [{"kind": w.kind, "object": w.object_id, "message": w.message}
                      for w in warnings],
     }
-    print(json.dumps(summary, indent=2))
+    sys.stdout.write(dump_json(summary))
     return 0
 
 
@@ -171,7 +171,7 @@ def cmd_postprocess(args) -> int:
     save_motion(out_motion, args.out)
     sidecar = Path(args.out).with_suffix(".diagnostics.json")
     write_text(sidecar, dump_json(diagnostics))
-    print(json.dumps({"motion": str(args.out), "diagnostics": str(sidecar)}, indent=2))
+    sys.stdout.write(dump_json({"motion": str(args.out), "diagnostics": str(sidecar)}))
     return 0
 
 

@@ -174,10 +174,6 @@ def quat_geodesic_angle(a, b):
     return 2.0 * per_element(math.atan2, vec_norm(rel[..., 1:]), np.abs(rel[..., 0]))
 
 
-def random_quat(rng: np.random.Generator) -> np.ndarray:
-    return quat_normalize(rng.normal(size=4))
-
-
 # ---------------------------------------------------------------------------
 # poses
 
@@ -195,13 +191,6 @@ class Pose:
     @staticmethod
     def identity() -> "Pose":
         return Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
-
-    def matrix(self) -> np.ndarray:
-        """Homogeneous 4x4 matrix."""
-        m = np.eye(4)
-        m[:3, :3] = quat_to_matrix(self.orientation)
-        m[:3, 3] = self.position
-        return m
 
     def transform_point(self, v) -> np.ndarray:
         return quat_rotate(self.orientation, v) + self.position

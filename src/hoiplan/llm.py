@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import requests
-
 from .errors import HoiplanError
 from .scene import Scene, read_text, write_text
 
@@ -191,6 +189,8 @@ class HttpBackend:
         }
 
     def complete(self, bundle: PromptBundle) -> str:
+        import requests  # on first use, so commands that never call a server do not load it
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -291,12 +291,6 @@ def _labeled_section(raw_text: str, name: str) -> str | None:
     if fence:
         return fence.group("body").strip()
     return rest.strip() or None
-
-
-def render_response(relations_text: str, plan_text: str) -> str:
-    """Canonical response text; extract_sections on it is the identity."""
-    return (f"```relations\n{relations_text.strip()}\n```\n\n"
-            f"```plan\n{plan_text.strip()}\n```\n")
 
 
 def complete(bundle: PromptBundle, backend) -> LlmResponse:

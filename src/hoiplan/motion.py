@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HoiplanError
-from .geometry import (Pose, compose, matrix_to_quat, per_element, quat_conjugate,
+from .geometry import (Pose, matrix_to_quat, per_element, quat_conjugate,
                        quat_from_axis_angle, quat_geodesic_angle, quat_multiply,
                        quat_normalize, quat_rotate, quat_to_axis_angle, quat_to_matrix,
                        rot6d_decode, rot6d_encode, vec_norm)
@@ -155,21 +155,6 @@ def parse_grasps_json(text: str) -> dict[str, GraspPose | None]:
     return out
 
 
-def grasps_to_json(grasps: dict[str, GraspPose | None]) -> dict:
-    out = {}
-    for hand in ("left", "right"):
-        g = grasps.get(hand)
-        if g is None:
-            out[hand] = None
-            continue
-        entry = {"pos": [float(v) for v in g.wrist_pose.position],
-                 "quat": [float(v) for v in g.wrist_pose.orientation]}
-        if g.finger_pose is not None:
-            entry["fingers"] = [float(v) for v in g.finger_pose]
-        out[hand] = entry
-    return out
-
-
 def load_grasps(path) -> dict[str, GraspPose | None]:
     return parse_grasps_json(read_text(path))
 
@@ -286,11 +271,6 @@ def smooth_boundary(traj, boundary: int, window: int, static_pose: Pose,
 
 # ---------------------------------------------------------------------------
 # wrist recomputation
-
-def grasp_world_pose(object_pose: Pose, grasp: GraspPose) -> Pose:
-    """Wrist world pose implied by the grasp rigidly attached to the object."""
-    return compose(object_pose, grasp.wrist_pose)
-
 
 def recompute_wrist(object_traj, wrist_traj, grasp: GraspPose, contact: tuple[int, int],
                     window: int = SMOOTHING_WINDOW) -> list[Pose]:

@@ -34,12 +34,6 @@ def convex_hull(points) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1], dtype=float)
 
 
-def polygon_area(poly) -> float:
-    poly = np.asarray(poly, dtype=float)
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
 def polygon_centroid(poly) -> np.ndarray:
     """Area centroid; falls back to the vertex mean for degenerate polygons."""
     poly = np.asarray(poly, dtype=float)

@@ -106,11 +106,6 @@ def load_weights(path) -> BodyWeights:
     return BodyWeights(_weight_table(doc["w_q"], "/w_q"), _weight_table(doc["w_p"], "/w_p"))
 
 
-def weights_to_json(weights: BodyWeights) -> dict:
-    return {"w_q": {k: float(v) for k, v in sorted(weights.w_q.items())},
-            "w_p": {k: float(v) for k, v in sorted(weights.w_p.items())}}
-
-
 # ---------------------------------------------------------------------------
 # reward terms
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HoiplanError
-from .geometry import Pose, quat_rotate
+from .geometry import Pose, quat_normalize, quat_rotate, vec_norm
 from .polygons import convex_hull
 
 
@@ -216,8 +216,58 @@ def loads(text: str):
         raise SchemaError("invalid JSON: nested too deeply", "") from e
 
 
-def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def dump_json(doc) -> str:
+    r"""``json.dumps(doc, indent=2) + "\n"``, byte for byte, written directly.
+
+    The stdlib encoder falls back to pure Python whenever ``indent`` is set and
+    takes one generator step per number; here a list of plain floats becomes
+    one join of ``float.__repr__``, so a motion file costs about one repr per
+    number. Scalars go through ``json.dumps``, so they and the errors match.
+    """
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]):
+    """Append ``value``'s indent-2 text; ``newline`` is a newline and the current indent."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        if type(value[0]) is float:
+            try:
+                text = sep.join(map(float.__repr__, value))
+            except TypeError:  # not every item is a float
+                text = None
+            if text is not None and "n" not in text:  # no nan or inf: JSON spells them apart
+                out.append(f"[{inner}{text}{newline}]")
+                return
+        out.append("[" + inner)
+        for i, item in enumerate(value):
+            if i:
+                out.append(sep)
+            _write_json(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for i, (key, item) in enumerate(value.items()):
+            if not isinstance(key, (str, int, float)) and key is not None:  # bools are ints
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {key.__class__.__name__}")
+            text = key if isinstance(key, str) else json.dumps(key)
+            out.append(("," + inner if i else inner) + json.dumps(text) + ": ")
+            _write_json(item, inner, out)
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value))
 
 
 def write_text(path, text: str):
@@ -286,8 +336,7 @@ def _pose_from_json(value, path: str) -> Pose:
 
 
 def _pose_to_json(pose: Pose) -> dict:
-    return {"pos": [float(v) for v in pose.position],
-            "quat": [float(v) for v in pose.orientation]}
+    return {"pos": pose.position.tolist(), "quat": pose.orientation.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +379,17 @@ def scene_to_json(scene: Scene) -> dict:
     for o in scene.objects:
         entry = {
             "id": o.id,
-            "half_extents": [float(v) for v in o.half_extents],
-            "canonical_dir": [float(v) for v in o.canonical_dir],
+            "half_extents": o.half_extents.tolist(),
+            "canonical_dir": o.canonical_dir.tolist(),
             "static": bool(o.is_static),
             "pose": _pose_to_json(o.initial_pose),
         }
         if o.point_cloud is not None:
-            entry["points"] = [[float(v) for v in p] for p in o.point_cloud]
+            entry["points"] = o.point_cloud.tolist()
         out_objects.append(entry)
     return {
-        "bounds": [float(v) for v in scene.bounds],
-        "north": [float(v) for v in scene.north],
+        "bounds": scene.bounds.tolist(),
+        "north": scene.north.tolist(),
         "objects": out_objects,
     }
 
@@ -364,6 +413,48 @@ def parse_motion_json(text: str) -> MotionSequence:
     raw_frames = _get(doc, "frames", "")
     _require(isinstance(raw_frames, list) and len(raw_frames) > 0,
              "frames must be a non-empty list", "/frames")
+    arrays = _motion_arrays(raw_frames, text)
+    return MotionSequence(fps, *(_walk_frames(raw_frames) if arrays is None else arrays))
+
+
+# A quaternion norm the walker accepts lies in (1e-9, inf). np.linalg.norm and
+# vec_norm may round apart, so norms near either end are left to the walker.
+_SAFE_QUAT_NORM = (1e-8, 1e150)
+
+
+def _motion_arrays(raw_frames: list, text: str):
+    """The frame arrays of a motion the walker would accept, built with one
+    ``np.array`` per field, or None whenever that is not certain.
+
+    Invalid input always goes to ``_walk_frames``, which gives each error its
+    code, JSON pointer and message.
+    """
+    if "true" in text or "false" in text or "null" in text:
+        return None  # np.array would read a bool among numbers as 0 or 1
+    try:
+        fields = [np.array(rows) for rows in (
+            [f["joints"] for f in raw_frames], [f["joint_rot6d"] for f in raw_frames],
+            [f["object"]["pos"] for f in raw_frames], [f["object"]["quat"] for f in raw_frames],
+            [f["contact"] for f in raw_frames])]
+    except (KeyError, TypeError, ValueError):  # a missing key, a list or a ragged row
+        return None
+    t = len(raw_frames)
+    j = fields[0].shape[1] if fields[0].ndim == 3 else 0
+    shapes = [(t, j, 3), (t, j, 6), (t, 3), (t, 4), (t, 2)]
+    if any(a.dtype.kind not in "if" or a.shape != shape for a, shape in zip(fields, shapes)):
+        return None  # a string, an integer past int64 or a wrong length
+    joints, rot6d, pos, quat, contact = (a.astype(float, copy=False) for a in fields)
+    with np.errstate(over="ignore"):  # a norm past the double range is rejected below
+        norm = vec_norm(quat)
+    if not (np.isfinite(joints).all() and np.isfinite(rot6d).all() and np.isfinite(pos).all()
+            and ((contact >= 0.0) & (contact <= 1.0)).all()
+            and ((norm > _SAFE_QUAT_NORM[0]) & (norm < _SAFE_QUAT_NORM[1])).all()):
+        return None
+    return joints, rot6d, pos, quat_normalize(quat), contact
+
+
+def _walk_frames(raw_frames: list):
+    """The frame arrays, checked number by number in frame order."""
     joints = []
     rot6d = []
     obj_pos = []
@@ -394,19 +485,14 @@ def parse_motion_json(text: str) -> MotionSequence:
     arrays = {"joints": np.array(joints), "joint_rot6d": np.array(rot6d),
               "object/pos": np.array(obj_pos)}
     _finite_rows("/frames", arrays)
-    return MotionSequence(fps, *arrays.values(), np.array(obj_quat), np.array(contact))
+    return (*arrays.values(), np.array(obj_quat), np.array(contact))
 
 
 def motion_to_json(motion: MotionSequence) -> dict:
-    frames = []
-    for t in range(motion.num_frames):
-        frames.append({
-            "joints": [[float(v) for v in p] for p in motion.joints[t]],
-            "joint_rot6d": [[float(v) for v in r] for r in motion.joint_rot6d[t]],
-            "object": {"pos": [float(v) for v in motion.object_pos[t]],
-                       "quat": [float(v) for v in motion.object_quat[t]]},
-            "contact": [float(v) for v in motion.contact[t]],
-        })
+    frames = [{"joints": j, "joint_rot6d": r, "object": {"pos": p, "quat": q}, "contact": c}
+              for j, r, p, q, c in zip(motion.joints.tolist(), motion.joint_rot6d.tolist(),
+                                       motion.object_pos.tolist(), motion.object_quat.tolist(),
+                                       motion.contact.tolist())]
     return {"fps": int(motion.fps), "frames": frames}
 
 

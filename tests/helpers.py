@@ -1,5 +1,5 @@
-"""Shared fixture builders, the layout invariant checker, and the scalar oracles
-of the batched planner, rotation, scoring and IK kernels."""
+"""Shared fixture builders and serializers, the layout invariant checker, and the
+scalar oracles of the batched planner, rotation, scoring and IK kernels."""
 
 import heapq
 import math
@@ -7,8 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hoiplan.geometry import DegenerateRotation, Pose, quat_rotate
-from hoiplan.motion import IkChain, IkResult, object_contact_span, pose_delta, segment_phases
+from hoiplan.geometry import (DegenerateRotation, Pose, compose, quat_normalize, quat_rotate,
+                              quat_to_matrix)
+from hoiplan.motion import (GraspPose, IkChain, IkResult, object_contact_span, pose_delta,
+                            segment_phases)
 from hoiplan.planner import NoPath, OccupancyGrid, PathResult, _window
 from hoiplan.polygons import convex_distance, point_to_convex_distance, polygon_contains
 from hoiplan.relations import Adjacent, Facing, On, compass_vector
@@ -18,6 +20,55 @@ from hoiplan.scene import (MotionSequence, ObjectSpec, Scene, bottom_height, foo
                            top_surface_height)
 
 SQRT2 = math.sqrt(2.0)
+
+
+def random_quat(rng: np.random.Generator) -> np.ndarray:
+    return quat_normalize(rng.normal(size=4))
+
+
+def pose_matrix(pose: Pose) -> np.ndarray:
+    """Homogeneous 4x4 matrix of a pose."""
+    m = np.eye(4)
+    m[:3, :3] = quat_to_matrix(pose.orientation)
+    m[:3, 3] = pose.position
+    return m
+
+
+def polygon_area(poly) -> float:
+    poly = np.asarray(poly, dtype=float)
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def grasp_world_pose(object_pose: Pose, grasp: GraspPose) -> Pose:
+    """Wrist world pose implied by the grasp rigidly attached to the object."""
+    return compose(object_pose, grasp.wrist_pose)
+
+
+def grasps_to_json(grasps: dict[str, GraspPose | None]) -> dict:
+    out = {}
+    for hand in ("left", "right"):
+        g = grasps.get(hand)
+        if g is None:
+            out[hand] = None
+            continue
+        entry = {"pos": [float(v) for v in g.wrist_pose.position],
+                 "quat": [float(v) for v in g.wrist_pose.orientation]}
+        if g.finger_pose is not None:
+            entry["fingers"] = [float(v) for v in g.finger_pose]
+        out[hand] = entry
+    return out
+
+
+def weights_to_json(weights: BodyWeights) -> dict:
+    return {"w_q": {k: float(v) for k, v in sorted(weights.w_q.items())},
+            "w_p": {k: float(v) for k, v in sorted(weights.w_p.items())}}
+
+
+def render_response(relations_text: str, plan_text: str) -> str:
+    """Canonical response text; extract_sections on it is the identity."""
+    return (f"```relations\n{relations_text.strip()}\n```\n\n"
+            f"```plan\n{plan_text.strip()}\n```\n")
 
 
 def grid_from_rows(rows, resolution=1.0):

@@ -13,16 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import WORKSPACE_INSTRUCTION, build_interaction_motion
-from helpers import (assert_layout_invariants, dijkstra_oracle, make_random_scene,
-                     workspace_scene)
+from helpers import (assert_layout_invariants, dijkstra_oracle, grasps_to_json, make_random_scene,
+                     random_quat, workspace_scene)
 
 from hoiplan.cli import main
 from hoiplan.geometry import (Pose, matrix_to_quat, quat_conjugate, quat_geodesic_angle,
-                              quat_multiply, quat_rotate, quat_to_matrix, random_quat,
-                              rot6d_decode, rot6d_encode)
+                              quat_multiply, quat_rotate, quat_to_matrix, rot6d_decode,
+                              rot6d_encode)
 from hoiplan.layout import geometric_accuracy, solve
 from hoiplan.llm import render_prompt, save_fixture
-from hoiplan.motion import GraspPose, grasps_to_json, points_in_wrist_frame, relative_pose_loss
+from hoiplan.motion import GraspPose, points_in_wrist_frame, relative_pose_loss
 from hoiplan.planner import NoPath, OccupancyGrid, astar_cells, dependency_order
 from hoiplan.relations import (ActionStep, On, ParseError, TemplateMismatch, parse_plan,
                                parse_relations, render_plan_step)

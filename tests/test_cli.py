@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 from conftest import build_interaction_motion
-from helpers import assert_layout_invariants, workspace_relations, workspace_scene
+from helpers import (assert_layout_invariants, grasp_world_pose, grasps_to_json, weights_to_json,
+                     workspace_relations, workspace_scene)
 
 from hoiplan.cli import main
 from hoiplan.geometry import Pose, matrix_to_quat, quat_conjugate, quat_geodesic_angle, \
     quat_multiply, quat_rotate, rot6d_decode
 from hoiplan.layout import load_scene_map
-from hoiplan.motion import grasps_to_json
 from hoiplan.planner import load_plan
 from hoiplan.scene import dump_json, load_motion, motion_to_json, save_motion, save_scene
 
@@ -182,7 +182,7 @@ class TestScoreCommand:
         assert out.read_bytes() == golden.read_bytes()
 
     def test_custom_weights_file(self, tmp_path, capsys):
-        from hoiplan.reward import DEFAULT_BODY_WEIGHTS, weights_to_json
+        from hoiplan.reward import DEFAULT_BODY_WEIGHTS
         motion, _ = build_interaction_motion(t=9)
         save_motion(motion, tmp_path / "ref.json")
         save_motion(motion, tmp_path / "sim.json")
@@ -255,7 +255,6 @@ class TestPostprocessCommand:
         motion.object_pos[:] = motion.object_pos[0]
         motion.object_quat[:] = motion.object_quat[0]
         from hoiplan.geometry import compose
-        from hoiplan.motion import grasp_world_pose
         for t in range(motion.num_frames):
             w = grasp_world_pose(Pose(motion.object_pos[t], motion.object_quat[t]), grasp)
             motion.joints[t, 3] = w.position
@@ -347,7 +346,7 @@ class TestBoundaryErrors:
         return json.loads(err)["error"]
 
     def test_nan_weight_is_schema_error(self, tmp_path, capsys):
-        from hoiplan.reward import DEFAULT_BODY_WEIGHTS, weights_to_json
+        from hoiplan.reward import DEFAULT_BODY_WEIGHTS
         save_motion(build_interaction_motion(t=9)[0], tmp_path / "ref.json")
         weights = weights_to_json(DEFAULT_BODY_WEIGHTS)
         weights["w_q"][next(iter(weights["w_q"]))] = float("nan")

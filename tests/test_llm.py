@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 import requests
-from helpers import workspace_scene
+from helpers import render_response, workspace_scene
 
 import hoiplan.llm as llm
 from hoiplan.llm import (HttpBackend, LlmResponse, MissingFixture, MockBackend, PromptBundle,
                          SectionMissing, Timeout, Transport, complete, extract_sections,
-                         prompt_key, render_prompt, render_response, save_fixture,
-                         serialize_scene)
+                         prompt_key, render_prompt, save_fixture, serialize_scene)
 
 GOOD_RESPONSE = """\
 The table anchors the workspace, so it goes north of the door first.
@@ -125,7 +124,7 @@ class TestMockBackend:
         def sentinel(*args, **kwargs):
             raise AssertionError("mock backend must not touch the network")
 
-        monkeypatch.setattr(llm.requests, "post", sentinel)
+        monkeypatch.setattr(requests, "post", sentinel)
         bundle = render_prompt(workspace_scene(), "set up a workspace")
         save_fixture(tmp_path, bundle, GOOD_RESPONSE)
         response = complete(bundle, MockBackend(tmp_path))
@@ -154,7 +153,7 @@ class TestHttpBackend:
             captured.update(url=url, payload=json, headers=headers, timeout=timeout)
             return DummyResponse(200, {"choices": [{"message": {"content": GOOD_RESPONSE}}]})
 
-        monkeypatch.setattr(llm.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         backend = self.make_backend()
         response = complete(render_prompt(workspace_scene(), "go"), backend)
         assert response.raw_text == GOOD_RESPONSE
@@ -170,7 +169,7 @@ class TestHttpBackend:
             calls.append(url)
             return DummyResponse(500)
 
-        monkeypatch.setattr(llm.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         backend = self.make_backend()
         with pytest.raises(Transport) as e:
             backend.complete(render_prompt(workspace_scene(), "go"))
@@ -184,7 +183,7 @@ class TestHttpBackend:
             calls.append(url)
             return DummyResponse(400)
 
-        monkeypatch.setattr(llm.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         with pytest.raises(Transport):
             self.make_backend().complete(render_prompt(workspace_scene(), "go"))
         assert len(calls) == 1
@@ -196,7 +195,7 @@ class TestHttpBackend:
             calls.append(url)
             raise requests.Timeout("too slow")
 
-        monkeypatch.setattr(llm.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         backend = self.make_backend()
         with pytest.raises(Timeout):
             backend.complete(render_prompt(workspace_scene(), "go"))
@@ -225,6 +224,6 @@ class TestHttpBackend:
         def fake_post(url, **kwargs):
             return DummyResponse(200, {"choices": [{"message": {"content": "no blocks"}}]})
 
-        monkeypatch.setattr(llm.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         with pytest.raises(SectionMissing):
             complete(render_prompt(workspace_scene(), "go"), self.make_backend())

@@ -4,16 +4,16 @@ import math
 import numpy as np
 import pytest
 from conftest import build_interaction_motion
-from helpers import fk_oracle, ik_solve_oracle, postprocess_oracle, same_bits
+from helpers import (fk_oracle, grasp_world_pose, ik_solve_oracle, postprocess_oracle, random_quat,
+                     same_bits)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoiplan.geometry import (Pose, compose, invert, quat_conjugate, quat_from_axis_angle,
-                              quat_from_yaw, quat_geodesic_angle, quat_multiply, quat_rotate,
-                              random_quat)
+                              quat_from_yaw, quat_geodesic_angle, quat_multiply, quat_rotate)
 from hoiplan.motion import (EmptyContact, GraspPose, HandPhases, IkChain, ShapeMismatch,
-                            WindowOutOfRange, average_pose, build_conditions, grasp_world_pose,
-                            ik_solve, ik_solve_batch, object_contact_span, points_in_wrist_frame,
+                            WindowOutOfRange, average_pose, build_conditions, ik_solve,
+                            ik_solve_batch, object_contact_span, points_in_wrist_frame,
                             pose_delta, postprocess_motion, ramp_poses, recompute_wrist,
                             relative_pose_loss, sample_box_surface, segment_hand, segment_phases,
                             smooth_boundary)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from helpers import polygon_area
 from scipy.spatial import ConvexHull
 
 from hoiplan.polygons import (convex_distance, convex_hull, convex_intersects, point_in_convex,
-                              polygon_area, polygon_centroid, polygon_contains)
+                              polygon_centroid, polygon_contains)
 
 
 def test_hull_of_square():

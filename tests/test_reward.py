@@ -3,18 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from helpers import body_reward_oracle, score_motion_oracle
+from helpers import body_reward_oracle, random_quat, score_motion_oracle, weights_to_json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hoiplan.reward
 from hoiplan.cli import main
-from hoiplan.geometry import Pose, quat_from_axis_angle, random_quat, rot6d_encode
+from hoiplan.geometry import Pose, quat_from_axis_angle, rot6d_encode
 from hoiplan.reward import (ALPHA_FAR, ALPHA_NEAR, DEFAULT_BODY_WEIGHTS, BodyWeights,
                             FingerFrame, FingerSetMismatch, LengthMismatch, LinkSetMismatch,
                             NonFiniteInput, RewardBreakdown, alpha_gate, body_reward,
                             energy_reward, finite_difference_accels, hand_reward,
-                            score_motion, total_reward, tracking_error, weights_to_json)
+                            score_motion, total_reward, tracking_error)
 from hoiplan.scene import MotionSequence, dump_json, save_motion
 
 

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from helpers import grasps_to_json, polygon_area, weights_to_json
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hoiplan.geometry import Pose, quat_from_axis_angle, quat_from_yaw
-from hoiplan.polygons import polygon_area
+import hoiplan.scene
+from hoiplan.geometry import Pose, quat_from_axis_angle, quat_from_yaw, quat_normalize
 from hoiplan.scene import (DuplicateId, MotionSequence, ObjectSpec, Scene, SchemaError,
                            bottom_height, box_corners, dump_json, footprint, load_motion,
                            load_scene, motion_to_json, parse_motion_json, parse_scene_json,
@@ -154,9 +157,9 @@ def _set(doc, where, value):
 
 def _overflow_cases():
     from hoiplan.layout import SceneMap, SceneMapEntry, scene_map_to_json
-    from hoiplan.motion import GraspPose, grasps_to_json
+    from hoiplan.motion import GraspPose
     from hoiplan.planner import ExecutionPlan, PlanStep, plan_to_json
-    from hoiplan.reward import DEFAULT_BODY_WEIGHTS, weights_to_json
+    from hoiplan.reward import DEFAULT_BODY_WEIGHTS
     motion = motion_to_json(TestMotionIO().make_motion())
     scene = scene_to_json(small_scene())
     scene["objects"][0]["points"] = [[0.1, 0.2, 0.3]] * 3
@@ -223,6 +226,165 @@ def test_out_of_range_error_names_the_value(kind, where, literal, path):
     with pytest.raises(SchemaError) as e:
         _parser(kind)(json.dumps(doc).replace(repr(SENTINEL), literal))
     assert e.value.path == path
+
+
+_SPECIAL_FLOATS = [-0.0, 5e-324, 1e16, 1e-7, 1e22, 2.0 ** 53 + 2, 0.1]
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10 ** 100, 10 ** 100), st.floats(),
+    st.floats().map(np.float64), st.sampled_from(_SPECIAL_FLOATS), st.text(),
+    st.sampled_from(["é", "\u2028", '"\\\n\t', "\x00", "\U0001f600"]))
+_float_rows = st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)),
+                       min_size=1, max_size=6)
+_json_docs = st.recursive(
+    st.one_of(_json_scalars, _float_rows),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.integers(), st.floats(), st.booleans(),
+                                  st.none()), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_json_docs)
+def test_dump_json_matches_stdlib_indent_2(doc):
+    assert dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [[1.0, {1, 2}], {"a": np.int64(3)}, {(1, 2): 0.5},
+                                 [np.bool_(True)], [1.5, np.float32(2.0)], object()],
+                         ids=["set", "int64", "tuple-key", "numpy-bool", "float32", "object"])
+def test_dump_json_raises_where_stdlib_does(doc):
+    with pytest.raises(TypeError) as want:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as got:
+        dump_json(doc)
+    assert str(got.value) == str(want.value)
+
+
+# replaced in the JSON text by literals json.dumps cannot write
+_LITERALS = {"@inf": "1e999", "@-inf": "-1e999", "@int": "9" * 400, "@-int": "-" + "7" * 400}
+# among them integers near the int64 and uint64 ends, where np.array picks another dtype
+_EDGE_NUMBERS = [0, -0.0, 5e-324, 1e300, 2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63 + 1025, 2 ** 64 - 1,
+                 -2 ** 63, -2 ** 63 - 1, 2 ** 64]
+_QUAT_SCALES = [0.0, 1e-12, 9.9e-10, 1e-9, 1.0000001e-9, 5e-9, 1e-8, 1.1e-8, 1e149, 1e151, 1e155,
+                1e200]
+_REPLACEMENTS = [True, False, None, "1.0", {}, [], 0.5, [0.5], {"pos": [0, 0, 0]}, *_LITERALS]
+_CONTACT_EDGES = [-5e-324, -1e-300, 1.0000000000000002, 1 + 1e-15, 0, 1, -0.0]
+
+
+def _paths(value, path=()):
+    """(path, value) of everything inside a JSON document."""
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,), item
+        yield from _paths(item, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _mutated_motions(draw):
+    # the valid document comes from a seeded generator: drawing every number
+    # through hypothesis would take most of the test's time
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    t, j, edges = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.booleans())
+
+    def number():
+        if edges and rng.random() < 0.2:
+            return _EDGE_NUMBERS[rng.integers(len(_EDGE_NUMBERS))]
+        return float(rng.uniform(-1e3, 1e3)) if rng.random() < 0.5 else int(rng.integers(-1e6, 1e6))
+
+    def row(n):
+        return [number() for _ in range(n)]
+    doc = {"fps": 30, "frames": [
+        {"joints": [row(3) for _ in range(j)], "joint_rot6d": [row(6) for _ in range(j)],
+         "object": {"pos": row(3), "quat": rng.uniform(-1, 1, 4).tolist()},
+         "contact": [[0, 1, -0.0, float(rng.random())][rng.integers(4)] for _ in range(2)]}
+        for _ in range(t)]}
+    for _ in range(draw(st.integers(0, 2))):
+        paths = [p for p, _ in _paths(doc)]
+        rows = [p for p, v in _paths(doc) if isinstance(v, list)
+                and not any(isinstance(x, (list, dict)) for x in v)]
+        frames = [v for p, v in _paths(doc) if len(p) == 2 and p[0] == "frames"
+                  and isinstance(v, dict)]
+        leaves = [p for p, v in _paths(doc) if type(v) in (int, float)]
+        kind = draw(st.sampled_from(["drop", "replace", "number", "ragged", "extra-joint",
+                                     "contact", "quat"]))
+        frame = draw(st.sampled_from(frames)) if frames else {}
+        if kind == "drop":
+            keyed = [p for p in paths if isinstance(_at(doc, p[:-1]), dict)]
+            path = draw(st.sampled_from(keyed or [("fps",)]))
+            _at(doc, path[:-1]).pop(path[-1], None)
+        elif kind == "replace" and paths:
+            path = draw(st.sampled_from(paths))
+            _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(_REPLACEMENTS))
+        elif kind == "number" and leaves:  # np.array reads a bool among numbers as 0 or 1
+            path = draw(st.sampled_from(leaves))
+            _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from([True, False, None, "0.5",
+                                                                  *_LITERALS]))
+        elif kind == "ragged" and rows:
+            target = _at(doc, draw(st.sampled_from(rows)))
+            if draw(st.booleans()):
+                target.append(0.25)
+            elif target:
+                target.pop()
+        elif kind == "extra-joint":
+            key = draw(st.sampled_from(["joints", "joint_rot6d"]))
+            if isinstance(frame.get(key), list):
+                frame[key].append([0.5] * (3 if key == "joints" else 6))
+        elif kind == "contact" and isinstance(frame.get("contact"), list) and frame["contact"]:
+            frame["contact"][draw(st.integers(0, len(frame["contact"]) - 1))] = \
+                draw(st.sampled_from(_CONTACT_EDGES))
+        elif kind == "quat" and isinstance(frame.get("object"), dict) \
+                and isinstance(frame["object"].get("quat"), list):
+            scale = draw(st.sampled_from(_QUAT_SCALES))
+            frame["object"]["quat"] = [v * scale if isinstance(v, float) else v
+                                       for v in frame["object"]["quat"]]
+    text = json.dumps(doc)
+    for marker, literal in _LITERALS.items():
+        text = text.replace(json.dumps(marker), literal)
+    return text
+
+
+def _parse_outcome(text):
+    try:
+        m = parse_motion_json(text)
+    except Exception as e:  # compared field by field with the walker's
+        return type(e).__name__, getattr(e, "code", None), getattr(e, "path", None), str(e)
+    return m.fps, [(a.dtype.str, a.shape, a.tobytes())
+                   for a in (m.joints, m.joint_rot6d, m.object_pos, m.object_quat, m.contact)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_mutated_motions())
+def test_array_first_motion_load_matches_the_walker(text):
+    """The array path gives the walker's arrays bit for bit, or the walker's error."""
+    got = _parse_outcome(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hoiplan.scene, "_motion_arrays", lambda frames, text: None)
+        want = _parse_outcome(text)
+    assert got == want
+
+
+def test_valid_motion_loads_without_the_per_number_walker(monkeypatch, tmp_path):
+    rng = np.random.default_rng(3)
+    motion = MotionSequence(30, rng.normal(size=(300, 22, 3)), rng.normal(size=(300, 22, 6)),
+                            rng.normal(size=(300, 3)), quat_normalize(rng.normal(size=(300, 4))),
+                            rng.uniform(size=(300, 2)))
+    save_motion(motion, tmp_path / "motion.json")
+
+    def refuse(*args):
+        raise AssertionError("a valid motion went through the per-number walker")
+    monkeypatch.setattr(hoiplan.scene, "_floats", refuse)
+    monkeypatch.setattr(hoiplan.scene, "_pose_from_json", refuse)
+    again = load_motion(tmp_path / "motion.json")
+    for name in ("joints", "joint_rot6d", "object_pos", "object_quat", "contact"):
+        assert np.array_equal(getattr(again, name), getattr(motion, name)), name
 
 
 class TestBoxGeometry:
