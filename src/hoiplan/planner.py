@@ -7,15 +7,23 @@ within _TIE_GUARD of a threshold, or whose rectangle may overlap the
 footprint, is decided by the scalar kernels of polygons.py: the grid equals a
 per-cell scalar loop bit for bit.
 
+plan_routes keeps one such mask per object pose: a mask is computed when a
+step first needs it and again only after its object moves, and each step's
+grid is the OR of every mask but the carried object's. OR is order-free, so
+that grid equals a fresh rasterize of the step bit for bit.
+
 The A* search is 8-connected only, with sqrt(2) diagonal cost; diagonal moves
-may not cut corners past occupied cells. Its heuristic is the octile distance
-to the bounding box of the goal set, which is admissible and consistent and
-equals the exact octile distance for a single goal. Ties break on lower
-heuristic first, then lexicographic (x, y), which makes every path
-byte-reproducible. Path costs are reported as (straight, diagonal) move counts
-so optimality checks can compare costs exactly.
+may not cut corners past occupied cells. One byte per cell holds which of the
+eight moves are legal from it, built with numpy shifts before the search, so
+the loop tests neither occupancy nor corners. Its heuristic is the octile
+distance to the bounding box of the goal set, which is admissible and
+consistent and equals the exact octile distance for a single goal. Ties
+break on lower heuristic first, then lexicographic (x, y), which makes every
+path byte-reproducible. Path costs are reported as (straight, diagonal) move
+counts so optimality checks can compare costs exactly.
 """
 
+import functools
 import heapq
 import math
 from array import array
@@ -173,6 +181,50 @@ def _ties(d: np.ndarray, poly: np.ndarray, *thresholds: float) -> np.ndarray:
     return tie
 
 
+def _empty_grid(scene: Scene, resolution: float) -> OccupancyGrid:
+    """A free grid over the scene bounds; GridTooLarge past MAX_GRID_CELLS cells."""
+    x0, y0, x1, y1 = scene.bounds
+    nx = max(1, int(math.ceil((x1 - x0) / resolution - 1e-9)))
+    ny = max(1, int(math.ceil((y1 - y0) / resolution - 1e-9)))
+    if nx * ny > MAX_GRID_CELLS:
+        raise GridTooLarge(f"a {nx} x {ny} grid exceeds {MAX_GRID_CELLS} cells",
+                           cells=nx * ny, limit=MAX_GRID_CELLS)
+    return OccupancyGrid(resolution, np.array([x0, y0]), np.zeros((nx, ny), dtype=bool))
+
+
+def _object_hits(scene: Scene, grid: OccupancyGrid, poly: np.ndarray,
+                 agent_radius: float) -> tuple[tuple[slice, slice], np.ndarray]:
+    """The cells of the footprint's window whose rectangle comes within
+    ``agent_radius`` of it, as (window slices, hit mask over the window)."""
+    half_diag = grid.resolution * math.sqrt(0.5)
+    far = agent_radius + half_diag + 1e-12    # a center farther than this: free
+    near = agent_radius - half_diag           # a center this close: occupied
+    reach = agent_radius + 1e-12              # otherwise the cell's rectangle decides
+    # a cell whose center lies this close may overlap the footprint, and then
+    # only the scalar separating-axis test decides
+    touch = half_diag + _TIE_GUARD * max(1.0, float(np.abs(scene.bounds).max()))
+    xs, ys = _window(grid, poly, agent_radius)
+    d = _center_distance(grid, poly, xs, ys)
+    exact = _ties(d, poly, far, near)
+    hit = (d <= near) & ~exact
+    band = (d > near) & (d <= far) & ~exact
+    exact |= band & (d <= touch)
+    band &= ~exact
+    bx, by = np.nonzero(band)
+    rect_d = _rect_distance(grid, poly, bx + xs.start, by + ys.start)
+    rect_tie = _ties(rect_d, poly, reach)
+    hit[bx, by] = (rect_d <= reach) & ~rect_tie
+    exact[bx[rect_tie], by[rect_tie]] = True
+    if exact.any():
+        verts = [(float(x), float(y)) for x, y in poly]
+        for ix, iy in zip(*np.nonzero(exact)):
+            cell = (xs.start + int(ix), ys.start + int(iy))
+            d_cell = point_to_convex_distance(grid.center_of(cell), verts)
+            hit[ix, iy] = d_cell <= near or (
+                d_cell <= far and convex_distance(grid.cell_rect(cell), verts) <= reach)
+    return (slice(xs.start, xs.stop), slice(ys.start, ys.stop)), hit
+
+
 def rasterize(scene: Scene, exclude=frozenset(), resolution: float = DEFAULT_RESOLUTION,
               agent_radius: float = DEFAULT_AGENT_RADIUS,
               poses: dict[str, Pose] | None = None) -> OccupancyGrid:
@@ -182,46 +234,13 @@ def rasterize(scene: Scene, exclude=frozenset(), resolution: float = DEFAULT_RES
     so the grid can be rebuilt as objects are relocated mid-plan. Raises
     GridTooLarge before allocating a grid of more than MAX_GRID_CELLS cells.
     """
-    x0, y0, x1, y1 = scene.bounds
-    nx = max(1, int(math.ceil((x1 - x0) / resolution - 1e-9)))
-    ny = max(1, int(math.ceil((y1 - y0) / resolution - 1e-9)))
-    if nx * ny > MAX_GRID_CELLS:
-        raise GridTooLarge(f"a {nx} x {ny} grid exceeds {MAX_GRID_CELLS} cells",
-                           cells=nx * ny, limit=MAX_GRID_CELLS)
-    occupied = np.zeros((nx, ny), dtype=bool)
-    grid = OccupancyGrid(resolution, np.array([x0, y0]), occupied)
-    half_diag = resolution * math.sqrt(0.5)
-    far = agent_radius + half_diag + 1e-12    # a center farther than this: free
-    near = agent_radius - half_diag           # a center this close: occupied
-    reach = agent_radius + 1e-12              # otherwise the cell's rectangle decides
-    # a cell whose center lies this close may overlap the footprint, and then
-    # only the scalar separating-axis test decides
-    touch = half_diag + _TIE_GUARD * max(1.0, float(np.abs(scene.bounds).max()))
+    grid = _empty_grid(scene, resolution)
     for obj in scene.objects:
         if obj.id in exclude:
             continue
         pose = poses[obj.id] if poses and obj.id in poses else obj.initial_pose
-        poly = footprint(obj, pose)
-        xs, ys = _window(grid, poly, agent_radius)
-        d = _center_distance(grid, poly, xs, ys)
-        exact = _ties(d, poly, far, near)
-        hit = (d <= near) & ~exact
-        band = (d > near) & (d <= far) & ~exact
-        exact |= band & (d <= touch)
-        band &= ~exact
-        bx, by = np.nonzero(band)
-        rect_d = _rect_distance(grid, poly, bx + xs.start, by + ys.start)
-        rect_tie = _ties(rect_d, poly, reach)
-        hit[bx, by] = (rect_d <= reach) & ~rect_tie
-        exact[bx[rect_tie], by[rect_tie]] = True
-        if exact.any():
-            verts = [(float(x), float(y)) for x, y in poly]
-            for ix, iy in zip(*np.nonzero(exact)):
-                cell = (xs.start + int(ix), ys.start + int(iy))
-                d_cell = point_to_convex_distance(grid.center_of(cell), verts)
-                hit[ix, iy] = d_cell <= near or (
-                    d_cell <= far and convex_distance(grid.cell_rect(cell), verts) <= reach)
-        occupied[xs.start:xs.stop, ys.start:ys.stop] |= hit
+        window, hit = _object_hits(scene, grid, footprint(obj, pose), agent_radius)
+        grid.occupied[window] |= hit
     return grid
 
 
@@ -244,9 +263,42 @@ _MOVES = ((1, 0, False), (-1, 0, False), (0, 1, False), (0, -1, False),
           (1, 1, True), (1, -1, True), (-1, 1, True), (-1, -1, True))
 
 
+def _move_mask(occupied: np.ndarray) -> bytearray:
+    """One byte per cell of the padded, flattened grid: bit k is set when move k
+    of _MOVES is legal from that cell, i.e. its target is free and, for a
+    diagonal, so are both orthogonal cells it passes (no corner cutting)."""
+    nx, ny = occupied.shape
+    w = ny + 2
+    free = np.zeros((nx + 2, w), dtype=np.uint8)
+    free[1:-1, 1:-1] = ~occupied
+    free = free.ravel()
+    lo, hi = w + 1, free.size - w - 1    # every cell whose 8 neighbors exist
+    out = bytearray(free.size)
+    mask = np.frombuffer(out, dtype=np.uint8)[lo:hi]
+    for k, (mx, my, diagonal) in enumerate(_MOVES):
+        bits = free[lo + mx * w + my:hi + mx * w + my]
+        if diagonal:
+            bits = bits & free[lo + mx * w:hi + mx * w] & free[lo + my:hi + my]
+        mask |= bits << k
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _move_options(w: int) -> tuple:
+    """options[bits]: (index offset, step cost, dx, dy) of each move that a mask
+    byte ``bits`` allows, on a flattened grid of row length ``w``."""
+    options = [()]
+    for mx, my, diagonal in _MOVES:
+        move = (mx * w + my, SQRT2 if diagonal else 1.0, mx, my)
+        options += [allowed + (move,) for allowed in options]
+    return tuple(options)
+
+
 def astar_cells(grid: OccupancyGrid, start: tuple[int, int], goals) -> PathResult:
     """Shortest path from a cell to the nearest of a set of goal cells.
 
+    ``goals`` is an (n, 2) integer array or any collection of (x, y) cells;
+    cells outside the grid cannot be reached but still widen the bounding box.
     Heuristic: octile distance to the goal set's bounding box, which is
     admissible, consistent and O(1) per node. Raises NoPath when the goal set
     is unreachable.
@@ -256,29 +308,28 @@ def astar_cells(grid: OccupancyGrid, start: tuple[int, int], goals) -> PathResul
     That index orders cells exactly like (x, y), so the heap key (f, h, index)
     pops nodes in the same order as (f, h, x, y).
     """
-    goal_set = {tuple(g) for g in goals}
+    goals = np.array(goals if isinstance(goals, np.ndarray) else list(goals),
+                     dtype=np.int64).reshape(-1, 2)
     if not grid.is_free(start):
         raise StartOccupied(f"start cell {start} is occupied or out of bounds")
-    if not goal_set:
+    if not len(goals):
         raise GoalOccupied("goal set is empty")
     nx, ny = grid.shape
     w = ny + 2
-    lo_x, hi_x = min(g[0] for g in goal_set), max(g[0] for g in goal_set)
-    lo_y, hi_y = min(g[1] for g in goal_set), max(g[1] for g in goal_set)
+    gx, gy = goals[:, 0], goals[:, 1]
     # per-axis distances to the goal set's bounding box, by padded coordinate
-    hx = [max(0, lo_x - x, x - hi_x) for x in range(-1, nx + 1)]
-    hy = [max(0, lo_y - y, y - hi_y) for y in range(-1, ny + 1)]
+    xs, ys = np.arange(-1, nx + 1), np.arange(-1, ny + 1)
+    hx = np.maximum(np.maximum(gx.min() - xs, xs - gx.max()), 0).tolist()
+    hy = np.maximum(np.maximum(gy.min() - ys, ys - gy.max()), 0).tolist()
     bend = SQRT2 - 1.0   # a diagonal step's cost beyond a straight one
-    blocked = bytearray(np.pad(grid.occupied, 1, constant_values=True).tobytes())
-    targets = {(x + 1) * w + y + 1 for x, y in goal_set if 0 <= x < nx and 0 <= y < ny}
-    # (index offset, step cost, offset of the x-side cell a diagonal must not cut
-    # or 0 for a straight move, dx, dy); the y-side cell is at offset dy
-    moves = [(mx * w + my, SQRT2 if diagonal else 1.0, mx * w if diagonal else 0, mx, my)
-             for mx, my, diagonal in _MOVES]
+    inside = (gx >= 0) & (gx < nx) & (gy >= 0) & (gy < ny)
+    targets = set(((gx[inside] + 1) * w + gy[inside] + 1).tolist())
+    legal = _move_mask(grid.occupied)
+    options = _move_options(w)
 
-    size = len(blocked)
+    size = len(legal)
     g_cost = array("d", [math.inf]) * size
-    parent = array("q", [0]) * size
+    parent = array("i", [0]) * size    # padded indices stay below 3 * MAX_GRID_CELLS + 6
     closed = bytearray(size)
     first = int((start[0] + 1) * w + start[1] + 1)
     g_cost[first] = 0.0
@@ -301,11 +352,8 @@ def astar_cells(grid: OccupancyGrid, start: tuple[int, int], goals) -> PathResul
             return PathResult(cells, len(cells) - 1 - diagonal, diagonal)
         g_here = g_cost[p]
         x, y = divmod(p, w)
-        for off, step, side, mx, my in moves:
+        for off, step, mx, my in options[legal[p]]:
             q = p + off
-            # no corner cutting: both orthogonal neighbors must be free
-            if blocked[q] or (side and (blocked[p + side] or blocked[p + my])):
-                continue
             cand = g_here + step
             if cand < g_cost[q] - 1e-12:
                 g_cost[q] = cand
@@ -456,9 +504,9 @@ def load_plan(path) -> ExecutionPlan:
     return parse_plan_json(read_text(path))
 
 
-def _cells_near_footprint(grid: OccupancyGrid, poly: np.ndarray,
-                          distance: float) -> set[tuple[int, int]]:
-    """Free cells whose center lies within ``distance`` of the polygon."""
+def _cells_near_footprint(grid: OccupancyGrid, poly: np.ndarray, distance: float) -> np.ndarray:
+    """Free cells whose center lies within ``distance`` of the polygon, as an
+    (n, 2) array of (x, y) in row-major order."""
     xs, ys = _window(grid, poly, distance)
     d = _center_distance(grid, poly, xs, ys)
     exact = _ties(d, poly, distance)
@@ -469,8 +517,7 @@ def _cells_near_footprint(grid: OccupancyGrid, poly: np.ndarray,
             cell = (xs.start + int(ix), ys.start + int(iy))
             near[ix, iy] = point_to_convex_distance(grid.center_of(cell), verts) <= distance
     near &= ~grid.occupied[xs.start:xs.stop, ys.start:ys.stop]
-    ix, iy = np.nonzero(near)
-    return set(zip((ix + xs.start).tolist(), (iy + ys.start).tolist()))
+    return np.argwhere(near) + (xs.start, ys.start)
 
 
 def plan_routes(scene: Scene, scene_map: SceneMap, steps: list[ActionStep],
@@ -482,7 +529,8 @@ def plan_routes(scene: Scene, scene_map: SceneMap, steps: list[ActionStep],
 
     Objects already relocated stay at their targets for later steps; the
     manipulated object is excluded from its own step's grid. An empty route
-    means the agent already stood within the approach distance.
+    means the agent already stood within the approach distance. Each step's
+    grid equals ``rasterize(scene, exclude={id}, poses=poses)``.
     """
     poses: dict[str, Pose] = {o.id: o.initial_pose for o in scene.objects}
     if agent_start is None:
@@ -490,14 +538,25 @@ def plan_routes(scene: Scene, scene_map: SceneMap, steps: list[ActionStep],
                                 (scene.bounds[1] + scene.bounds[3]) / 2.0])
     agent = np.asarray(agent_start, dtype=float).reshape(2)
 
+    hits = {}    # object id -> (window, hit mask) at the object's current pose
+    grid = None  # built at the first step: UnknownObject comes before GridTooLarge
     plan_steps = []
     for step in steps:
         if not scene_map.has(step.object_id):
             raise UnknownObject(f"no scene-map target for {step.object_id!r}",
                                 id=step.object_id)
         obj = scene.object(step.object_id)
-        grid = rasterize(scene, exclude={step.object_id}, resolution=resolution,
-                         agent_radius=agent_radius, poses=poses)
+        if grid is None:
+            grid = _empty_grid(scene, resolution)
+        grid.occupied[:] = False
+        for other in scene.objects:
+            if other.id == step.object_id:
+                continue
+            if other.id not in hits:
+                hits[other.id] = _object_hits(scene, grid, footprint(other, poses[other.id]),
+                                              agent_radius)
+            window, hit = hits[other.id]
+            grid.occupied[window] |= hit
         start = grid.cell_of(agent)
         if not grid.is_free(start):
             raise StartOccupied(f"agent position {tuple(map(float, agent))} is occupied")
@@ -505,10 +564,10 @@ def plan_routes(scene: Scene, scene_map: SceneMap, steps: list[ActionStep],
         route: list[tuple[float, float]] = []
         current_poly = footprint(obj, poses[step.object_id])
         goals = _cells_near_footprint(grid, current_poly, approach_distance)
-        if not goals:
+        if not len(goals):
             raise GoalOccupied(f"no free cell within {approach_distance} m of "
                                f"{step.object_id!r}")
-        if start not in goals:
+        if not (goals == start).all(axis=1).any():
             leg = astar_cells(grid, start, goals)
             route.extend(grid.center_of(c) for c in leg.cells)
             start = leg.cells[-1]
@@ -516,10 +575,10 @@ def plan_routes(scene: Scene, scene_map: SceneMap, steps: list[ActionStep],
         target_pose = scene_map.pose(step.object_id)
         target_poly = footprint(obj, target_pose)
         goals = _cells_near_footprint(grid, target_poly, approach_distance)
-        if not goals:
+        if not len(goals):
             raise GoalOccupied(f"no free cell within {approach_distance} m of "
                                f"{step.object_id!r}'s target")
-        if start not in goals:
+        if not (goals == start).all(axis=1).any():
             leg = astar_cells(grid, start, goals)
             cells = leg.cells[1:] if route else leg.cells
             route.extend(grid.center_of(c) for c in cells)
@@ -528,5 +587,6 @@ def plan_routes(scene: Scene, scene_map: SceneMap, steps: list[ActionStep],
         if route:
             agent = np.array(route[-1])
         poses[step.object_id] = target_pose
+        hits.pop(step.object_id, None)
         plan_steps.append(PlanStep(step.object_id, step.text, route))
     return ExecutionPlan(plan_steps)

@@ -43,6 +43,13 @@ class WriteError(HoiplanError):
 # ---------------------------------------------------------------------------
 # data model
 
+def _norm(v) -> float:
+    """Euclidean norm of a float vector: inf, with no overflow warning, past the
+    double range, so that the caller's range check rejects it."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))
+
+
 @dataclass
 class ObjectSpec:
     id: str
@@ -57,7 +64,7 @@ class ObjectSpec:
         if not np.all(self.half_extents > 0):
             raise SchemaError("half_extents must be positive", f"/objects/{self.id}/half_extents")
         d = np.asarray(self.canonical_dir, dtype=float).reshape(3)
-        n = float(np.linalg.norm(d))
+        n = _norm(d)
         if abs(n - 1.0) > 1e-6:
             raise SchemaError("canonical_dir must be unit length", f"/objects/{self.id}/canonical_dir")
         self.canonical_dir = d / n
@@ -76,9 +83,9 @@ class Scene:
         if not (self.bounds[0] < self.bounds[2] and self.bounds[1] < self.bounds[3]):
             raise SchemaError("bounds must satisfy x0 < x1 and y0 < y1", "/bounds")
         n = np.asarray(self.north, dtype=float).reshape(2)
-        norm = float(np.linalg.norm(n))
-        if norm < 1e-9:
-            raise SchemaError("north must be a nonzero 2-vector", "/north")
+        norm = _norm(n)
+        if not 1e-9 <= norm < math.inf:
+            raise SchemaError("north must be a nonzero 2-vector of finite length", "/north")
         self.north = n / norm
         seen = set()
         for i, o in enumerate(self.objects):
@@ -330,7 +337,7 @@ def _finite_rows(prefix: str, arrays: dict[str, np.ndarray]):
 def _pose_from_json(value, path: str) -> Pose:
     pos = _floats(_get(value, "pos", path), 3, f"{path}/pos")
     quat = _floats(_get(value, "quat", path), 4, f"{path}/quat")
-    _require(1e-9 < float(np.linalg.norm(quat)) < math.inf,
+    _require(1e-9 < _norm(quat) < math.inf,
              "quaternion norm must be finite and nonzero", f"{path}/quat")
     return Pose(np.array(pos), np.array(quat))
 
@@ -356,7 +363,7 @@ def parse_scene_json(text: str) -> Scene:
         half = _floats(_get(raw, "half_extents", path), 3, f"{path}/half_extents")
         _require(all(h > 0 for h in half), "half_extents must be positive", f"{path}/half_extents")
         canon = _floats(_get(raw, "canonical_dir", path), 3, f"{path}/canonical_dir")
-        _require(abs(float(np.linalg.norm(canon)) - 1.0) <= 1e-6,
+        _require(abs(_norm(canon) - 1.0) <= 1e-6,
                  "canonical_dir must be unit length", f"{path}/canonical_dir")
         static = _get(raw, "static", path)
         _require(isinstance(static, bool), "static must be a boolean", f"{path}/static")

@@ -11,7 +11,10 @@ from hoiplan.geometry import (DegenerateRotation, Pose, compose, quat_normalize,
                               quat_to_matrix)
 from hoiplan.motion import (GraspPose, IkChain, IkResult, object_contact_span, pose_delta,
                             segment_phases)
-from hoiplan.planner import NoPath, OccupancyGrid, PathResult, _window
+from hoiplan.layout import UnknownObject
+from hoiplan.planner import (APPROACH_DISTANCE, DEFAULT_AGENT_RADIUS, DEFAULT_RESOLUTION,
+                             ExecutionPlan, GoalOccupied, NoPath, OccupancyGrid, PathResult,
+                             PlanStep, StartOccupied, _window, astar_cells, rasterize)
 from hoiplan.polygons import convex_distance, point_to_convex_distance, polygon_contains
 from hoiplan.relations import Adjacent, Facing, On, compass_vector
 from hoiplan.reward import (BODY_ERROR_SCALE, ENERGY_SCALE, BodyWeights,
@@ -214,6 +217,59 @@ def astar_cells_oracle(grid, start, goals):
                 hn = h(px, py)
                 heapq.heappush(heap, (cand + hn, hn, px, py))
     raise NoPath(f"no route from {start} to the goal set")
+
+
+def plan_routes_oracle(scene, scene_map, steps, agent_radius=DEFAULT_AGENT_RADIUS,
+                       resolution=DEFAULT_RESOLUTION, agent_start=None,
+                       approach_distance=APPROACH_DISTANCE):
+    """Reference for planner.plan_routes: rasterizes the whole scene on every step
+    and takes its goal sets from the scalar cells_near_footprint_oracle."""
+    poses = {o.id: o.initial_pose for o in scene.objects}
+    if agent_start is None:
+        agent_start = np.array([(scene.bounds[0] + scene.bounds[2]) / 2.0,
+                                (scene.bounds[1] + scene.bounds[3]) / 2.0])
+    agent = np.asarray(agent_start, dtype=float).reshape(2)
+
+    plan_steps = []
+    for step in steps:
+        if not scene_map.has(step.object_id):
+            raise UnknownObject(f"no scene-map target for {step.object_id!r}",
+                                id=step.object_id)
+        obj = scene.object(step.object_id)
+        grid = rasterize(scene, exclude={step.object_id}, resolution=resolution,
+                         agent_radius=agent_radius, poses=poses)
+        start = grid.cell_of(agent)
+        if not grid.is_free(start):
+            raise StartOccupied(f"agent position {tuple(map(float, agent))} is occupied")
+
+        route = []
+        goals = cells_near_footprint_oracle(grid, footprint(obj, poses[step.object_id]),
+                                            approach_distance)
+        if not goals:
+            raise GoalOccupied(f"no free cell within {approach_distance} m of "
+                               f"{step.object_id!r}")
+        if start not in goals:
+            leg = astar_cells(grid, start, goals)
+            route.extend(grid.center_of(c) for c in leg.cells)
+            start = leg.cells[-1]
+
+        target_pose = scene_map.pose(step.object_id)
+        goals = cells_near_footprint_oracle(grid, footprint(obj, target_pose),
+                                            approach_distance)
+        if not goals:
+            raise GoalOccupied(f"no free cell within {approach_distance} m of "
+                               f"{step.object_id!r}'s target")
+        if start not in goals:
+            leg = astar_cells(grid, start, goals)
+            cells = leg.cells[1:] if route else leg.cells
+            route.extend(grid.center_of(c) for c in cells)
+            start = leg.cells[-1]
+
+        if route:
+            agent = np.array(route[-1])
+        poses[step.object_id] = target_pose
+        plan_steps.append(PlanStep(step.object_id, step.text, route))
+    return ExecutionPlan(plan_steps)
 
 
 def box(oid, hx, hy, hz, static=False, pos=(0.0, 0.0, 0.0), quat=(1.0, 0.0, 0.0, 0.0),

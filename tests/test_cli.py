@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hoiplan.geometry import Pose, matrix_to_quat, quat_conjugate, quat_geodesic
     quat_multiply, quat_rotate, rot6d_decode
 from hoiplan.layout import load_scene_map
 from hoiplan.planner import load_plan
-from hoiplan.scene import dump_json, load_motion, motion_to_json, save_motion, save_scene
+from hoiplan.scene import dump_json, load_motion, loads, motion_to_json, save_motion, \
+    save_scene
 
 
 class TestPlanCommand:
@@ -389,6 +391,37 @@ class TestBoundaryErrors:
                                 "--start=0.5,0.5", "--goal=0.6,0.5"], capsys)
         assert error["code"] == "scene.schema_error"
         assert "/bounds" in error["message"]
+
+    @pytest.mark.parametrize("pointer", ["/north", "/objects/0/canonical_dir",
+                                         "/objects/0/pose/quat", "/frames/4/object/quat"])
+    def test_overflowing_norm_is_schema_error_without_warning(self, pointer, workspace_files,
+                                                              tmp_path, capsys):
+        # squaring 1e200 overflows the norm: no numpy warning may reach stderr,
+        # and a north vector must not collapse to [0, 0]
+        if pointer.startswith("/frames"):
+            doc = motion_to_json(build_interaction_motion(t=9)[0])
+            doc["frames"][4]["object"]["quat"] = [1e200, 0.0, 0.0, 0.0]
+            (tmp_path / "ref.json").write_text(json.dumps(doc))
+            argv = ["score", "--ref", str(tmp_path / "ref.json"),
+                    "--sim", str(tmp_path / "ref.json")]
+        else:
+            doc = json.loads(workspace_files["scene"].read_text())
+            owner, key = doc, pointer.split("/")[1:]
+            for part in key[:-1]:
+                owner = owner[int(part)] if part.isdigit() else owner[part]
+            owner[key[-1]] = [1e200] + [0.0] * (len(owner[key[-1]]) - 1)
+            (tmp_path / "scene.json").write_text(json.dumps(doc))
+            argv = ["plan", str(tmp_path / "scene.json"),
+                    "--instruction", workspace_files["instruction"], "--backend", "mock",
+                    "--fixtures", str(workspace_files["fixtures"]), "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a numpy overflow warning would raise here
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        error = loads(err)["error"]
+        assert err == json.dumps({"error": error}) + "\n"
+        assert error["code"] == "scene.schema_error"
+        assert error["detail"] == {"path": pointer}
 
     def test_huge_grid_is_refused_before_allocation(self, tmp_path, capsys):
         scene = {"bounds": [-1e6, -1e6, 1e6, 1e6], "north": [0, 1], "objects": []}

@@ -1,25 +1,30 @@
 import heapq
+import importlib.util
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import astar_cells_oracle, box, cells_near_footprint_oracle, dijkstra_oracle, \
-    grid_from_rows, rasterize_oracle, workspace_relations, workspace_scene
+    grid_from_rows, plan_routes_oracle, rasterize_oracle, workspace_relations, workspace_scene
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoiplan import planner
+from hoiplan.errors import HoiplanError
 from hoiplan.geometry import quat_from_axis_angle, quat_from_yaw, quat_multiply
-from hoiplan.layout import CycleDetected, solve
+from hoiplan.layout import CycleDetected, SceneMap, SceneMapEntry, UnknownObject, solve
+from hoiplan.llm import extract_sections
 from hoiplan.planner import (MAX_GRID_CELLS, SQRT2, DuplicateStep, ExecutionPlan, GoalOccupied,
                              GridTooLarge, MissingStep, NoPath, OccupancyGrid, PathResult,
                              StartOccupied, UnknownStep, astar, astar_cells, dependency_order,
                              downsample, load_plan, parse_plan_json, plan_routes, plan_to_json,
                              rasterize, save_plan)
 from hoiplan.polygons import convex_distance, convex_intersects, point_to_convex_distance
-from hoiplan.relations import ActionStep, On, render_plan_step
-from hoiplan.scene import Scene, dump_json, footprint
+from hoiplan.relations import ActionStep, On, parse_plan, parse_relations, render_plan_step
+from hoiplan.scene import Scene, dump_json, footprint, parse_scene_json
 
 
 class TestAstar:
@@ -134,20 +139,38 @@ def test_multi_goal_astar_matches_dijkstra(case):
     assert sum(min(step) for step in steps) == result.diagonal
 
 
+def _outside(lo, hi):
+    """An integer coordinate within five cells of, but outside, [lo, hi)."""
+    return st.integers(lo - 5, lo - 1) | st.integers(hi, hi + 4)
+
+
 @st.composite
 def goal_set_cases(draw):
-    """A random grid up to 60x60, a free start and 1 to 2000 free goals."""
+    """A random grid up to 60x60, a free start, 1 to 2000 free goals and up to
+    three goals outside the grid, which only widen the goal bounding box.
+
+    Half the grids are diagonal walls of cells that touch only at their
+    corners, with random holes: only the no-corner-cutting rule stops a search
+    from slipping through such a wall.
+    """
     nx = draw(st.integers(2, 60))
     ny = draw(st.integers(2, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    occ = rng.uniform(size=(nx, ny)) < draw(st.sampled_from([0.0, 0.1, 0.3, 0.5]))
+    if draw(st.booleans()):
+        x, y = np.ogrid[:nx, :ny]
+        occ = (((x - y) % draw(st.integers(2, 6)) == 0)
+               & (rng.uniform(size=(nx, ny)) >= draw(st.sampled_from([0.0, 0.05, 0.2]))))
+    else:
+        occ = rng.uniform(size=(nx, ny)) < draw(st.sampled_from([0.0, 0.1, 0.3, 0.5]))
     free = np.argwhere(~occ)
     if len(free) < 2:
         occ[:] = False
         free = np.argwhere(~occ)
     picks = rng.permutation(len(free))[:1 + draw(st.integers(1, 2000))]
     start, *goals = (tuple(int(v) for v in free[i]) for i in picks)
-    return OccupancyGrid(1.0, np.zeros(2), occ), start, set(goals)
+    outside = draw(st.lists(st.tuples(st.integers(-5, nx + 4), _outside(0, ny))
+                            | st.tuples(_outside(0, nx), st.integers(-5, ny + 4)), max_size=3))
+    return OccupancyGrid(1.0, np.zeros(2), occ), start, set(goals) | set(outside)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -157,12 +180,16 @@ def test_astar_cells_matches_scalar_oracle(case):
     try:
         expected = astar_cells_oracle(grid, start, goals)
     except NoPath:
-        with pytest.raises(NoPath):
-            astar_cells(grid, start, goals)
-        return
-    result = astar_cells(grid, start, goals)
-    assert (result.cells, result.straight, result.diagonal) == \
-        (expected.cells, expected.straight, expected.diagonal)
+        expected = None
+    # a set of cells, and the (n, 2) row-major array that plan_routes passes
+    for given_goals in (goals, np.array(sorted(goals))):
+        if expected is None:
+            with pytest.raises(NoPath):
+                astar_cells(grid, start, given_goals)
+            continue
+        result = astar_cells(grid, start, given_goals)
+        assert (result.cells, result.straight, result.diagonal) == \
+            (expected.cells, expected.straight, expected.diagonal)
 
 
 class TestDownsample:
@@ -282,8 +309,8 @@ def test_rasterize_and_goal_sets_match_scalar_oracle(case, goal_distance):
     distance = {"radius": radius, "cells": 3 * res, "approach": 1.0}[goal_distance]
     for obj in scene.objects:
         poly = footprint(obj, obj.initial_pose)
-        assert planner._cells_near_footprint(grid, poly, distance) == \
-            cells_near_footprint_oracle(grid, poly, distance)
+        goals = planner._cells_near_footprint(grid, poly, distance)
+        assert set(map(tuple, goals.tolist())) == cells_near_footprint_oracle(grid, poly, distance)
 
 
 def _yawed_box_on_empty_grid(seed):
@@ -309,6 +336,7 @@ def test_goal_set_tie_is_decided_by_the_scalar_kernel():
             distance = point_to_convex_distance(grid.center_of(cell), poly)
             if fast[ix, iy] > distance:
                 goals = planner._cells_near_footprint(grid, poly, distance)
+                goals = set(map(tuple, goals.tolist()))
                 assert cell in goals
                 assert goals == cells_near_footprint_oracle(grid, poly, distance)
                 return
@@ -492,3 +520,114 @@ class TestPlanRoutes:
         save_plan(plan, tmp_path / "plan.json")
         again = load_plan(tmp_path / "plan.json")
         assert dump_json(plan_to_json(again)) == dump_json(plan_to_json(plan))
+
+
+@st.composite
+def route_cases(draw):
+    """Scenes of 1-6 boxes, some static, yawed and some tilted, with targets for a
+    random order of steps. The agent starts at the centre, anywhere, or just
+    beside the first step's object, often already inside its goal set; now
+    and then a step has no target."""
+    res = draw(st.floats(0.1, 0.25))
+    radius = draw(st.sampled_from([0.0, 0.3]) | st.floats(0.0, 0.6))
+    w, h = draw(st.floats(3.0, 7.0)), draw(st.floats(3.0, 7.0))
+    x0, y0 = draw(st.sampled_from([(0.0, 0.0), (-3.1, 2.7)]))
+
+    def anywhere():
+        return x0 + draw(st.floats(0.0, w)), y0 + draw(st.floats(0.0, h))
+
+    objects = []
+    for i in range(draw(st.integers(1, 6))):
+        quat = quat_from_yaw(draw(st.floats(0.0, 2 * math.pi)))
+        if draw(st.booleans()):
+            axis = draw(st.floats(0.0, 2 * math.pi))
+            quat = quat_multiply(quat, quat_from_axis_angle(
+                draw(st.floats(0.0, 1.2)) * np.array([math.cos(axis), math.sin(axis), 0.0])))
+        half = [draw(st.floats(0.05, 0.6)) for _ in range(3)]
+        objects.append(box(f"o{i}", *half, static=draw(st.booleans()),
+                           pos=(*anywhere(), 1.0), quat=tuple(quat)))
+    scene = Scene(objects, bounds=np.array([x0, y0, x0 + w, y0 + h]))
+    ids = draw(st.permutations([o.id for o in objects]))
+    steps = [step(oid) for oid in ids[:draw(st.integers(1, len(ids)))]]
+    entries = [SceneMapEntry(s.object_id, np.array([*anywhere(), 1.0]),
+                             quat_from_yaw(draw(st.floats(0.0, 2 * math.pi)))) for s in steps]
+    if entries and draw(st.integers(0, 9)) == 9:
+        entries.pop(draw(st.integers(0, len(entries) - 1)))
+    start = draw(st.sampled_from(["centre", "anywhere", "beside"]))
+    if start == "centre":
+        agent_start = None
+    elif start == "anywhere":
+        agent_start = anywhere()
+    else:
+        obj = scene.object(steps[0].object_id if steps else ids[0])
+        poly = footprint(obj, obj.initial_pose)
+        agent_start = (poly[:, 0].max() + radius + draw(st.floats(0.0, 0.6)), poly[:, 1].mean())
+    return scene, SceneMap(entries), steps, {
+        "agent_radius": radius, "resolution": res, "agent_start": agent_start,
+        "approach_distance": draw(st.sampled_from([1.0, 0.5]))}
+
+
+def _plan_or_error(plan_fn, scene, scene_map, steps, options):
+    try:
+        return dump_json(plan_to_json(plan_fn(scene, scene_map, steps, **options)))
+    except HoiplanError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(route_cases())
+def test_plan_routes_matches_per_step_rasterize_oracle(case):
+    assert _plan_or_error(plan_routes, *case) == _plan_or_error(plan_routes_oracle, *case)
+
+
+def test_plan_routes_error_order_and_empty_plan():
+    # a grid far past the cell cap: only a step that reaches the grid raises
+    scene = Scene([box("a", 0.2, 0.2, 0.2, pos=(0.0, 0.0, 0.2))],
+                  bounds=np.array([-1e6, -1e6, 1e6, 1e6]))
+    scene_map = SceneMap([SceneMapEntry("a", np.array([1.0, 1.0, 0.2]),
+                                        np.array([1.0, 0.0, 0.0, 0.0]))])
+    for fn in (plan_routes, plan_routes_oracle):
+        assert fn(scene, scene_map, []).steps == []
+        with pytest.raises(UnknownObject):
+            fn(scene, SceneMap([]), [step("a")])
+        with pytest.raises(GridTooLarge):
+            fn(scene, scene_map, [step("a")])
+
+
+BENCH_GEN = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+
+
+def bench_room(size, n_objects, n_movable, seed):
+    """A room from the plan-rooms generator, solved and ordered as `plan` does."""
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    room = gen.make_room(np.random.default_rng(seed), size, n_objects, n_movable)
+    scene = parse_scene_json(json.dumps(room.scene))
+    sections = extract_sections(room.response)
+    relations = parse_relations(sections["relations_text"])
+    steps = dependency_order(scene, relations, parse_plan(sections["plan_text"]))
+    return scene, solve(scene, relations, 0), steps, room.agent_start
+
+
+def test_plan_routes_matches_oracle_on_a_bench_room():
+    scene, scene_map, steps, agent_start = bench_room(10.0, 6, 4, seed=0)
+    plan = plan_routes(scene, scene_map, steps, resolution=0.05, agent_start=agent_start)
+    assert all(s.route for s in plan.steps)
+    assert dump_json(plan_to_json(plan)) == dump_json(plan_to_json(plan_routes_oracle(
+        scene, scene_map, steps, resolution=0.05, agent_start=agent_start)))
+
+
+def test_plan_routes_computes_each_object_mask_once_per_pose(monkeypatch):
+    scene, scene_map, steps, agent_start = bench_room(10.0, 6, 4, seed=1)
+    calls = []
+    hits = planner._object_hits
+
+    def counted(*args):
+        calls.append(args)
+        return hits(*args)
+    monkeypatch.setattr(planner, "_object_hits", counted)
+    plan_routes(scene, scene_map, steps, resolution=0.05, agent_start=agent_start)
+    assert len(scene.objects) == 6 and len(steps) == 4
+    # rasterizing every step would take (6 - 1) * 4 = 20
+    assert 0 < len(calls) <= len(scene.objects) + len(steps)
