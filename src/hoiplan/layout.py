@@ -19,8 +19,8 @@ from .errors import HoiplanError
 from .geometry import Pose, quat_from_yaw, quat_normalize, quat_rotate, quat_to_matrix
 from .polygons import polygon_centroid, polygon_contains
 from .relations import Adjacent, Facing, On, SpatialRelation, compass_vector
-from .scene import (Scene, SchemaError, bottom_height, dump_json, finite, footprint,
-                    footprint_circumradius, loads, read_text, resting_descent,
+from .scene import (Scene, bottom_height, dump_json, footprint, footprint_circumradius, loads,
+                    read_field, read_name, read_pose, read_text, require, resting_descent,
                     top_surface_height, write_text)
 
 
@@ -128,16 +128,14 @@ def scene_map_to_json(scene_map: SceneMap) -> dict:
 
 
 def parse_scene_map_json(text: str) -> SceneMap:
-    doc = loads(text)
-    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
-        raise SchemaError("expected an object with an 'entries' list", "/entries")
+    raw_entries = read_field(loads(text), "entries", "")
+    require(isinstance(raw_entries, list), "expected a list", "/entries")
     entries = []
-    for i, raw in enumerate(doc["entries"]):
-        try:
-            entries.append(SceneMapEntry(raw["id"], finite(raw["pos"], f"/entries/{i}/pos"),
-                                         finite(raw["quat"], f"/entries/{i}/quat")))
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"bad entry: {e}", f"/entries/{i}") from e
+    for i, raw in enumerate(raw_entries):
+        path = f"/entries/{i}"
+        object_id = read_name(read_field(raw, "id", path), f"{path}/id")
+        pose = read_pose(raw, path)
+        entries.append(SceneMapEntry(object_id, pose.position, pose.orientation))
     return SceneMap(entries)
 
 

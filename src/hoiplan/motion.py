@@ -16,7 +16,7 @@ from .geometry import (Pose, matrix_to_quat, per_element, quat_conjugate,
                        quat_from_axis_angle, quat_geodesic_angle, quat_multiply,
                        quat_normalize, quat_rotate, quat_to_axis_angle, quat_to_matrix,
                        rot6d_decode, rot6d_encode, vec_norm)
-from .scene import MotionSequence, SchemaError, finite, loads, read_text
+from .scene import MotionSequence, loads, read_floats, read_pose, read_text, require
 
 CONTACT_THRESHOLD = 0.5
 CONTACT_MIN_RUN = 5      # frames; about a sixth of a second at 30 fps
@@ -138,20 +138,14 @@ class GraspPose:
 def parse_grasps_json(text: str) -> dict[str, GraspPose | None]:
     """Per-hand grasp file: {"left": {"pos", "quat", "fingers"?} | null, "right": ...}."""
     doc = loads(text)
-    if not isinstance(doc, dict):
-        raise SchemaError("expected an object with 'left' and 'right'", "")
+    require(isinstance(doc, dict), "expected an object with 'left' and 'right'", "")
     out: dict[str, GraspPose | None] = {}
     for hand in ("left", "right"):
         raw = doc.get(hand)
-        if raw is None:
-            out[hand] = None
-            continue
-        try:
-            pose = Pose(finite(raw["pos"], f"/{hand}/pos"), finite(raw["quat"], f"/{hand}/quat"))
-            fingers = finite(raw["fingers"], f"/{hand}/fingers") if "fingers" in raw else None
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"bad grasp: {e}", f"/{hand}") from e
-        out[hand] = GraspPose(pose, fingers)
+        path = f"/{hand}"
+        out[hand] = None if raw is None else GraspPose(
+            read_pose(raw, path),
+            read_floats(raw["fingers"], None, f"{path}/fingers") if "fingers" in raw else None)
     return out
 
 

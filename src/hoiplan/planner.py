@@ -36,8 +36,8 @@ from .geometry import Pose
 from .layout import CycleDetected, SceneMap, UnknownObject
 from .polygons import convex_distance, point_to_convex_distance
 from .relations import ActionStep, On, SpatialRelation
-from .scene import (Scene, SchemaError, dump_json, finite, footprint, loads, read_text,
-                    write_text)
+from .scene import (MAX_COORDINATE, Scene, dump_json, footprint, loads, read_field, read_floats,
+                    read_name, read_text, require, write_text)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -183,13 +183,17 @@ def _ties(d: np.ndarray, poly: np.ndarray, *thresholds: float) -> np.ndarray:
 
 def _empty_grid(scene: Scene, resolution: float) -> OccupancyGrid:
     """A free grid over the scene bounds; GridTooLarge past MAX_GRID_CELLS cells."""
-    x0, y0, x1, y1 = scene.bounds
-    nx = max(1, int(math.ceil((x1 - x0) / resolution - 1e-9)))
-    ny = max(1, int(math.ceil((y1 - y0) / resolution - 1e-9)))
-    if nx * ny > MAX_GRID_CELLS:
-        raise GridTooLarge(f"a {nx} x {ny} grid exceeds {MAX_GRID_CELLS} cells",
-                           cells=nx * ny, limit=MAX_GRID_CELLS)
-    return OccupancyGrid(resolution, np.array([x0, y0]), np.zeros((nx, ny), dtype=bool))
+    x0, y0, x1, y1 = map(float, scene.bounds)
+    # counted in floats: a tiny resolution makes these inf, not 300-digit integers
+    nx = max(1.0, float(np.ceil((x1 - x0) / resolution - 1e-9)))
+    ny = max(1.0, float(np.ceil((y1 - y0) / resolution - 1e-9)))
+    cells = nx * ny
+    if cells > MAX_GRID_CELLS:
+        raise GridTooLarge(f"the bounds at resolution {resolution:g} m need more than "
+                           f"{MAX_GRID_CELLS} cells",
+                           cells=cells if cells < math.inf else None, limit=MAX_GRID_CELLS)
+    return OccupancyGrid(resolution, np.array([x0, y0]),
+                         np.zeros((int(nx), int(ny)), dtype=bool))
 
 
 def _object_hits(scene: Scene, grid: OccupancyGrid, poly: np.ndarray,
@@ -482,17 +486,18 @@ def plan_to_json(plan: ExecutionPlan) -> dict:
 
 
 def parse_plan_json(text: str) -> ExecutionPlan:
-    doc = loads(text)
-    if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
-        raise SchemaError("expected an object with a 'steps' list", "/steps")
+    raw_steps = read_field(loads(text), "steps", "")
+    require(isinstance(raw_steps, list), "expected a list", "/steps")
     steps = []
-    for i, raw in enumerate(doc["steps"]):
-        try:
-            route = [(float(x), float(y)) for x, y in raw["route"]]
-            finite(route, f"/steps/{i}/route")
-            steps.append(PlanStep(raw["object"], raw["text"], route))
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise SchemaError(f"bad step: {e}", f"/steps/{i}") from e
+    for i, raw in enumerate(raw_steps):
+        path = f"/steps/{i}"
+        object_id = read_name(read_field(raw, "object", path), f"{path}/object")
+        step_text = read_name(read_field(raw, "text", path), f"{path}/text")
+        route = read_field(raw, "route", path)
+        require(isinstance(route, list), "expected a list", f"{path}/route")
+        steps.append(PlanStep(object_id, step_text, [
+            tuple(read_floats(p, 2, f"{path}/route/{j}", MAX_COORDINATE))
+            for j, p in enumerate(route)]))
     return ExecutionPlan(steps)
 
 
@@ -562,27 +567,16 @@ def plan_routes(scene: Scene, scene_map: SceneMap, steps: list[ActionStep],
             raise StartOccupied(f"agent position {tuple(map(float, agent))} is occupied")
 
         route: list[tuple[float, float]] = []
-        current_poly = footprint(obj, poses[step.object_id])
-        goals = _cells_near_footprint(grid, current_poly, approach_distance)
-        if not len(goals):
-            raise GoalOccupied(f"no free cell within {approach_distance} m of "
-                               f"{step.object_id!r}")
-        if not (goals == start).all(axis=1).any():
-            leg = astar_cells(grid, start, goals)
-            route.extend(grid.center_of(c) for c in leg.cells)
-            start = leg.cells[-1]
-
         target_pose = scene_map.pose(step.object_id)
-        target_poly = footprint(obj, target_pose)
-        goals = _cells_near_footprint(grid, target_poly, approach_distance)
-        if not len(goals):
-            raise GoalOccupied(f"no free cell within {approach_distance} m of "
-                               f"{step.object_id!r}'s target")
-        if not (goals == start).all(axis=1).any():
-            leg = astar_cells(grid, start, goals)
-            cells = leg.cells[1:] if route else leg.cells
-            route.extend(grid.center_of(c) for c in cells)
-            start = leg.cells[-1]
+        for pose, suffix in ((poses[step.object_id], ""), (target_pose, "'s target")):
+            goals = _cells_near_footprint(grid, footprint(obj, pose), approach_distance)
+            if not len(goals):
+                raise GoalOccupied(f"no free cell within {approach_distance} m of "
+                                   f"{step.object_id!r}{suffix}")
+            if not (goals == start).all(axis=1).any():
+                leg = astar_cells(grid, start, goals)
+                route.extend(grid.center_of(c) for c in (leg.cells[1:] if route else leg.cells))
+                start = leg.cells[-1]
 
         if route:
             agent = np.array(route[-1])

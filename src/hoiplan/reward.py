@@ -16,7 +16,7 @@ import numpy as np
 from .errors import HoiplanError
 from .geometry import (Pose, matrix_to_quat, per_element, quat_geodesic_angle, quat_normalize,
                        rot6d_decode, vec_norm)
-from .scene import MotionSequence, SchemaError, finite, loads, read_text
+from .scene import MotionSequence, loads, read_field, read_number, read_text, require
 
 BODY_WEIGHT = 0.8
 HAND_WEIGHT = 0.2
@@ -90,20 +90,14 @@ DEFAULT_BODY_WEIGHTS = BodyWeights(dict(DEFAULT_W_Q), dict(DEFAULT_W_P))
 
 
 def _weight_table(raw, path: str) -> dict[str, float]:
-    if not isinstance(raw, dict):
-        raise SchemaError("expected an object mapping link names to numbers", path)
-    for name, v in raw.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError("expected a number", f"{path}/{name}")
-    finite(list(raw.values()), path)
-    return {name: float(v) for name, v in raw.items()}
+    require(isinstance(raw, dict), "expected an object mapping link names to numbers", path)
+    return {name: read_number(v, f"{path}/{name}") for name, v in raw.items()}
 
 
 def load_weights(path) -> BodyWeights:
     doc = loads(read_text(path))
-    if not isinstance(doc, dict) or "w_q" not in doc or "w_p" not in doc:
-        raise SchemaError("expected an object with 'w_q' and 'w_p'", "")
-    return BodyWeights(_weight_table(doc["w_q"], "/w_q"), _weight_table(doc["w_p"], "/w_p"))
+    return BodyWeights(*(_weight_table(read_field(doc, key, ""), f"/{key}")
+                         for key in ("w_q", "w_p")))
 
 
 # ---------------------------------------------------------------------------

@@ -287,58 +287,58 @@ def write_text(path, text: str):
         raise WriteError(f"cannot write {str(path)!r}: {e.strerror or e}", path=str(path)) from e
 
 
-def _require(cond: bool, message: str, path: str):
+# Coordinates and lengths in metres past this magnitude are refused: far above
+# any room, far below 1e154, past which squaring one overflows.
+MAX_COORDINATE = 1e9
+
+
+def require(cond: bool, message: str, path: str):
     if not cond:
         raise SchemaError(message, path)
 
 
-def _get(mapping, key, path: str):
-    _require(isinstance(mapping, dict), "expected an object", path)
-    _require(key in mapping, f"missing required field {key!r}", path)
+def read_field(mapping, key, path: str):
+    """``mapping[key]``, where ``path`` points at ``mapping``."""
+    require(isinstance(mapping, dict), "expected an object", path)
+    require(key in mapping, f"missing required field {key!r}", path)
     return mapping[key]
 
 
-def _floats(value, n: int, path: str) -> list[float]:
-    _require(isinstance(value, list) and len(value) == n, f"expected a list of {n} numbers", path)
-    out = []
-    for i, v in enumerate(value):
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                 "expected a number", f"{path}/{i}")
-        try:
-            out.append(float(v))
-        except OverflowError:  # an integer literal past the double range
-            raise SchemaError("number does not fit in a double", f"{path}/{i}") from None
-    return out
-
-
-def finite(values, path: str) -> np.ndarray:
-    """``values`` as a float array, or a SchemaError at ``path`` if any is infinite.
-
-    JSON has no infinity, but a literal past the double range such as 1e999
-    parses as one. Checked once per array: a per-number check in Python would
-    dominate the parse of a motion file.
-    """
+def read_number(value, path: str, limit: float = math.inf) -> float:
+    """A JSON number (never a boolean or a string) as a finite float of
+    magnitude at most ``limit``."""
+    require(isinstance(value, (int, float)) and not isinstance(value, bool),
+            "expected a number", path)
     try:
-        arr = np.asarray(values, dtype=float)
-    except OverflowError:
+        x = float(value)
+    except OverflowError:  # an integer literal past the double range
         raise SchemaError("number does not fit in a double", path) from None
-    _require(bool(np.isfinite(arr).all()), "numbers must be finite", path)
-    return arr
+    require(math.isfinite(x), "number must be finite", path)  # 1e999 parses as inf
+    if abs(x) > limit:
+        raise SchemaError(f"magnitude must not exceed {limit:g}", path)
+    return x
 
 
-def _finite_rows(prefix: str, arrays: dict[str, np.ndarray]):
-    """``finite`` for per-row arrays; the error names the first bad row's field."""
-    for name, arr in arrays.items():
-        bad = ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
-        if bad.any():
-            raise SchemaError("numbers must be finite", f"{prefix}/{int(bad.argmax())}/{name}")
+def read_floats(value, n: int | None, path: str, limit: float = math.inf) -> list[float]:
+    """A list of ``n`` numbers (any number if None), each as ``read_number`` reads it."""
+    require(isinstance(value, list) and (n is None or len(value) == n),
+            "expected a list of numbers" if n is None else f"expected a list of {n} numbers", path)
+    return [read_number(v, f"{path}/{i}", limit) for i, v in enumerate(value)]
 
 
-def _pose_from_json(value, path: str) -> Pose:
-    pos = _floats(_get(value, "pos", path), 3, f"{path}/pos")
-    quat = _floats(_get(value, "quat", path), 4, f"{path}/quat")
-    _require(1e-9 < _norm(quat) < math.inf,
-             "quaternion norm must be finite and nonzero", f"{path}/quat")
+def read_name(value, path: str) -> str:
+    """An id or a name: a non-empty string."""
+    require(isinstance(value, str) and value != "", "expected a non-empty string", path)
+    return value
+
+
+def read_pose(value, path: str) -> Pose:
+    """A ``{pos, quat}`` pose: a position within MAX_COORDINATE and a
+    quaternion whose norm is finite and nonzero."""
+    pos = read_floats(read_field(value, "pos", path), 3, f"{path}/pos", MAX_COORDINATE)
+    quat = read_floats(read_field(value, "quat", path), 4, f"{path}/quat")
+    require(1e-9 < _norm(quat) < math.inf,
+            "quaternion norm must be finite and nonzero", f"{path}/quat")
     return Pose(np.array(pos), np.array(quat))
 
 
@@ -351,34 +351,32 @@ def _pose_to_json(pose: Pose) -> dict:
 
 def parse_scene_json(text: str) -> Scene:
     doc = loads(text)
-    bounds = finite(_floats(_get(doc, "bounds", ""), 4, "/bounds"), "/bounds")
-    north = finite(_floats(_get(doc, "north", ""), 2, "/north"), "/north")
-    raw_objects = _get(doc, "objects", "")
-    _require(isinstance(raw_objects, list), "expected a list", "/objects")
+    bounds = read_floats(read_field(doc, "bounds", ""), 4, "/bounds", MAX_COORDINATE)
+    north = read_floats(read_field(doc, "north", ""), 2, "/north")
+    raw_objects = read_field(doc, "objects", "")
+    require(isinstance(raw_objects, list), "expected a list", "/objects")
     objects = []
     for i, raw in enumerate(raw_objects):
         path = f"/objects/{i}"
-        oid = _get(raw, "id", path)
-        _require(isinstance(oid, str) and oid != "", "id must be a non-empty string", f"{path}/id")
-        half = _floats(_get(raw, "half_extents", path), 3, f"{path}/half_extents")
-        _require(all(h > 0 for h in half), "half_extents must be positive", f"{path}/half_extents")
-        canon = _floats(_get(raw, "canonical_dir", path), 3, f"{path}/canonical_dir")
-        _require(abs(_norm(canon) - 1.0) <= 1e-6,
-                 "canonical_dir must be unit length", f"{path}/canonical_dir")
-        static = _get(raw, "static", path)
-        _require(isinstance(static, bool), "static must be a boolean", f"{path}/static")
-        pose = _pose_from_json(_get(raw, "pose", path), f"{path}/pose")
+        oid = read_name(read_field(raw, "id", path), f"{path}/id")
+        half = read_floats(read_field(raw, "half_extents", path), 3, f"{path}/half_extents",
+                           MAX_COORDINATE)
+        require(all(h > 0 for h in half), "half_extents must be positive", f"{path}/half_extents")
+        canon = read_floats(read_field(raw, "canonical_dir", path), 3, f"{path}/canonical_dir")
+        require(abs(_norm(canon) - 1.0) <= 1e-6,
+                "canonical_dir must be unit length", f"{path}/canonical_dir")
+        static = read_field(raw, "static", path)
+        require(isinstance(static, bool), "static must be a boolean", f"{path}/static")
+        pose = read_pose(read_field(raw, "pose", path), f"{path}/pose")
         cloud = None
         if "points" in raw and raw["points"] is not None:
             pts = raw["points"]
-            _require(isinstance(pts, list) and len(pts) > 0, "points must be a non-empty list",
-                     f"{path}/points")
-            cloud = finite([_floats(p, 3, f"{path}/points/{j}") for j, p in enumerate(pts)],
-                           f"{path}/points")
+            require(isinstance(pts, list) and len(pts) > 0, "points must be a non-empty list",
+                    f"{path}/points")
+            cloud = np.array([read_floats(p, 3, f"{path}/points/{j}", MAX_COORDINATE)
+                              for j, p in enumerate(pts)])
         objects.append(ObjectSpec(oid, np.array(half), np.array(canon), static, pose, cloud))
-    _finite_rows("/objects", {"half_extents": np.array([o.half_extents for o in objects]),
-                              "pose/pos": np.array([o.initial_pose.position for o in objects])})
-    return Scene(objects, bounds, north)
+    return Scene(objects, np.array(bounds), np.array(north))
 
 
 def scene_to_json(scene: Scene) -> dict:
@@ -414,12 +412,12 @@ def save_scene(scene: Scene, path):
 
 def parse_motion_json(text: str) -> MotionSequence:
     doc = loads(text)
-    fps = _get(doc, "fps", "")
-    _require(isinstance(fps, int) and not isinstance(fps, bool) and fps > 0,
-             "fps must be a positive integer", "/fps")
-    raw_frames = _get(doc, "frames", "")
-    _require(isinstance(raw_frames, list) and len(raw_frames) > 0,
-             "frames must be a non-empty list", "/frames")
+    fps = read_field(doc, "fps", "")
+    require(isinstance(fps, int) and not isinstance(fps, bool) and fps > 0,
+            "fps must be a positive integer", "/fps")
+    raw_frames = read_field(doc, "frames", "")
+    require(isinstance(raw_frames, list) and len(raw_frames) > 0,
+            "frames must be a non-empty list", "/frames")
     arrays = _motion_arrays(raw_frames, text)
     return MotionSequence(fps, *(_walk_frames(raw_frames) if arrays is None else arrays))
 
@@ -453,7 +451,8 @@ def _motion_arrays(raw_frames: list, text: str):
     joints, rot6d, pos, quat, contact = (a.astype(float, copy=False) for a in fields)
     with np.errstate(over="ignore"):  # a norm past the double range is rejected below
         norm = vec_norm(quat)
-    if not (np.isfinite(joints).all() and np.isfinite(rot6d).all() and np.isfinite(pos).all()
+    if not ((np.abs(joints) <= MAX_COORDINATE).all() and np.isfinite(rot6d).all()
+            and (np.abs(pos) <= MAX_COORDINATE).all()
             and ((contact >= 0.0) & (contact <= 1.0)).all()
             and ((norm > _SAFE_QUAT_NORM[0]) & (norm < _SAFE_QUAT_NORM[1])).all()):
         return None
@@ -470,29 +469,27 @@ def _walk_frames(raw_frames: list):
     num_joints = None
     for t, raw in enumerate(raw_frames):
         path = f"/frames/{t}"
-        jraw = _get(raw, "joints", path)
-        _require(isinstance(jraw, list) and len(jraw) > 0, "joints must be a non-empty list",
-                 f"{path}/joints")
+        jraw = read_field(raw, "joints", path)
+        require(isinstance(jraw, list) and len(jraw) > 0, "joints must be a non-empty list",
+                f"{path}/joints")
         if num_joints is None:
             num_joints = len(jraw)
-        _require(len(jraw) == num_joints, "joint count must be constant across frames",
-                 f"{path}/joints")
-        joints.append([_floats(p, 3, f"{path}/joints/{j}") for j, p in enumerate(jraw)])
-        rraw = _get(raw, "joint_rot6d", path)
-        _require(isinstance(rraw, list) and len(rraw) == num_joints,
-                 "joint_rot6d must match the joint count", f"{path}/joint_rot6d")
-        rot6d.append([_floats(r, 6, f"{path}/joint_rot6d/{j}") for j, r in enumerate(rraw)])
-        pose = _pose_from_json(_get(raw, "object", path), f"{path}/object")
+        require(len(jraw) == num_joints, "joint count must be constant across frames",
+                f"{path}/joints")
+        joints.append([read_floats(p, 3, f"{path}/joints/{j}", MAX_COORDINATE)
+                       for j, p in enumerate(jraw)])
+        rraw = read_field(raw, "joint_rot6d", path)
+        require(isinstance(rraw, list) and len(rraw) == num_joints,
+                "joint_rot6d must match the joint count", f"{path}/joint_rot6d")
+        rot6d.append([read_floats(r, 6, f"{path}/joint_rot6d/{j}") for j, r in enumerate(rraw)])
+        pose = read_pose(read_field(raw, "object", path), f"{path}/object")
         obj_pos.append(pose.position)
         obj_quat.append(pose.orientation)
-        labels = _floats(_get(raw, "contact", path), 2, f"{path}/contact")
-        _require(all(0.0 <= v <= 1.0 for v in labels), "contact labels must lie in [0, 1]",
-                 f"{path}/contact")
+        labels = read_floats(read_field(raw, "contact", path), 2, f"{path}/contact")
+        require(all(0.0 <= v <= 1.0 for v in labels), "contact labels must lie in [0, 1]",
+                f"{path}/contact")
         contact.append(labels)
-    arrays = {"joints": np.array(joints), "joint_rot6d": np.array(rot6d),
-              "object/pos": np.array(obj_pos)}
-    _finite_rows("/frames", arrays)
-    return (*arrays.values(), np.array(obj_quat), np.array(contact))
+    return tuple(map(np.array, (joints, rot6d, obj_pos, obj_quat, contact)))
 
 
 def motion_to_json(motion: MotionSequence) -> dict:

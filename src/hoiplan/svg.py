@@ -3,7 +3,7 @@
 import numpy as np
 
 from .geometry import quat_rotate
-from .layout import SceneMap
+from .layout import SceneMap, UnknownObject
 from .planner import ExecutionPlan
 from .scene import Scene, footprint
 
@@ -90,6 +90,9 @@ def render_scene_svg(scene: Scene, scene_map: SceneMap | None = None,
 
     if scene_map is not None:
         for entry in scene_map.entries:
+            if not scene.has_object(entry.object_id):
+                raise UnknownObject(f"scene-map entry {entry.object_id!r} names no object "
+                                    "in the scene", id=entry.object_id)
             obj = scene.object(entry.object_id)
             pose = scene_map.pose(entry.object_id)
             poly = footprint(obj, pose)

@@ -1,5 +1,7 @@
 import json
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from hoiplan.layout import load_scene_map
 from hoiplan.planner import load_plan
 from hoiplan.scene import dump_json, load_motion, loads, motion_to_json, save_motion, \
     save_scene
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
 
 class TestPlanCommand:
@@ -83,6 +87,19 @@ class TestRenderCommand:
         text = out.read_text()
         assert text.count("<rect") == 1
         assert "<polygon" not in text and "<polyline" not in text
+
+    def test_scene_map_naming_an_unknown_object_is_domain_error(self, workspace_files,
+                                                                 tmp_path, capsys):
+        doc = json.loads((GOLDEN / "scene_map.json").read_text())
+        doc["entries"].append(dict(doc["entries"][0], id="ghost"))
+        (tmp_path / "map.json").write_text(json.dumps(doc))
+        assert main(["render", str(workspace_files["scene"]), str(tmp_path / "map.json"),
+                     "--out", str(tmp_path / "a.svg")]) == 1
+        err = capsys.readouterr().err
+        assert json.loads(err) == {"error": {
+            "code": "layout.unknown_object", "detail": {"id": "ghost"},
+            "message": "scene-map entry 'ghost' names no object in the scene"}}
+        assert not (tmp_path / "a.svg").exists()
 
     def test_render_with_map_and_plan_byte_stable(self, workspace_files, tmp_path):
         main(["plan", str(workspace_files["scene"]),
@@ -393,11 +410,13 @@ class TestBoundaryErrors:
         assert "/bounds" in error["message"]
 
     @pytest.mark.parametrize("pointer", ["/north", "/objects/0/canonical_dir",
-                                         "/objects/0/pose/quat", "/frames/4/object/quat"])
+                                         "/objects/0/pose/quat", "/frames/4/object/quat",
+                                         "/objects/0/half_extents/0"])
     def test_overflowing_norm_is_schema_error_without_warning(self, pointer, workspace_files,
                                                               tmp_path, capsys):
         # squaring 1e200 overflows the norm: no numpy warning may reach stderr,
-        # and a north vector must not collapse to [0, 0]
+        # and a north vector must not collapse to [0, 0]; a 1e200 half extent
+        # is past the coordinate limit, and used to overflow the planner
         if pointer.startswith("/frames"):
             doc = motion_to_json(build_interaction_motion(t=9)[0])
             doc["frames"][4]["object"]["quat"] = [1e200, 0.0, 0.0, 0.0]
@@ -409,7 +428,10 @@ class TestBoundaryErrors:
             owner, key = doc, pointer.split("/")[1:]
             for part in key[:-1]:
                 owner = owner[int(part)] if part.isdigit() else owner[part]
-            owner[key[-1]] = [1e200] + [0.0] * (len(owner[key[-1]]) - 1)
+            if key[-1].isdigit():
+                owner[int(key[-1])] = 1e200
+            else:
+                owner[key[-1]] = [1e200] + [0.0] * (len(owner[key[-1]]) - 1)
             (tmp_path / "scene.json").write_text(json.dumps(doc))
             argv = ["plan", str(tmp_path / "scene.json"),
                     "--instruction", workspace_files["instruction"], "--backend", "mock",
@@ -431,6 +453,30 @@ class TestBoundaryErrors:
         assert error["code"] == "planner.grid_too_large"
         assert error["detail"]["limit"] == 1 << 24
 
+    @pytest.mark.parametrize("resolution", ["1e-320", "1e-300", "1e-150"])
+    @pytest.mark.parametrize("command", ["route", "plan"])
+    def test_tiny_resolution_is_grid_too_large(self, command, resolution, workspace_files,
+                                               tmp_path, capsys):
+        # 1e-320 made the cell count inf (OverflowError), 1e-300 a 300-digit integer
+        scene = str(workspace_files["scene"])
+        argv = {"route": ["route", scene, "--start=0,0", "--goal=1,1"],
+                "plan": ["plan", scene, "--instruction", workspace_files["instruction"],
+                         "--backend", "mock", "--fixtures", str(workspace_files["fixtures"]),
+                         "--out", str(tmp_path / "out")]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--resolution", resolution]) == 1
+        err = capsys.readouterr().err
+        error = loads(err)["error"]
+        assert err == json.dumps({"error": error}) + "\n"
+        assert len(err) < 200
+        assert error["code"] == "planner.grid_too_large"
+        assert error["detail"]["limit"] == 1 << 24
+        if resolution == "1e-150":
+            assert 1e300 < error["detail"]["cells"] < math.inf
+        else:  # the count is past the double range
+            assert error["detail"]["cells"] is None
+
     def test_joint_index_past_the_skeleton_is_domain_error(self, tmp_path, capsys):
         argv = postprocess_argv(tmp_path)
         for flags in (["--wrist-joints", ",99"], ["--wrist-joints", ",3", "--arm-chains",
@@ -438,6 +484,53 @@ class TestBoundaryErrors:
             error = self.run_error(argv + flags, capsys)
             assert error["code"] == "motion.joint_out_of_range"
             assert error["detail"]["joints"] == 4
+
+
+@pytest.mark.parametrize("kind,where,value,pointer", [
+    ("grasp", ["right", "pos"], ["0", "0.1", "0"], "/right/pos/0"),
+    ("grasp", ["right", "pos"], [True, 0, 0], "/right/pos/0"),
+    ("grasp", ["right", "pos"], [[0, 0, 0]], "/right/pos"),
+    ("grasp", ["right", "quat"], [0, 0, 0, 0], "/right/quat"),
+    ("grasp", ["left"], [1, 2], "/left"),
+    ("grasp", ["right", "fingers"], [0.5, False], "/right/fingers/1"),
+    ("scene_map", ["entries", 0, "pos"], ["1", 0, 0], "/entries/0/pos/0"),
+    ("scene_map", ["entries", 1, "id"], 5, "/entries/1/id"),
+    ("scene_map", ["entries", 0, "id"], ["a"], "/entries/0/id"),
+    ("scene_map", ["entries", 2, "quat"], [0, 0, 0, 0], "/entries/2/quat"),
+    ("plan", ["steps", 0, "route"], [[True, 1]], "/steps/0/route/0/0"),
+    ("plan", ["steps", 1, "route"], [[0, 0], ["1.5", 1]], "/steps/1/route/1/0"),
+    ("plan", ["steps", 0, "object"], 7, "/steps/0/object"),
+    ("plan", ["steps", 2, "text"], "", "/steps/2/text")],
+    ids=["grasp-string", "grasp-bool", "grasp-nested", "grasp-zero-quat", "grasp-list",
+         "grasp-finger-bool", "map-string", "map-number-id", "map-list-id", "map-zero-quat",
+         "plan-bool", "plan-string", "plan-number-object", "plan-empty-text"])
+def test_malformed_value_is_schema_error_at_its_pointer(kind, where, value, pointer,
+                                                        workspace_files, tmp_path, capsys):
+    # the scene-map, plan and grasp loaders used to let these through, end in a
+    # traceback, or report a Python message without the value's pointer
+    if kind == "grasp":
+        argv = postprocess_argv(tmp_path)
+        path = tmp_path / "grasp.json"
+    else:
+        path = tmp_path / f"{kind}.json"
+        argv = ["render", str(workspace_files["scene"]),
+                *([str(path)] if kind == "scene_map" else ["--plan", str(path)]),
+                "--out", str(tmp_path / "a.svg")]
+        path.write_text((GOLDEN / path.name).read_text())
+    doc = json.loads(path.read_text())
+    owner = doc
+    for key in where[:-1]:
+        owner = owner[key]
+    owner[where[-1]] = value
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    error = loads(err)["error"]
+    assert err == json.dumps({"error": error}) + "\n"
+    assert error["code"] == "scene.schema_error"
+    assert error["detail"] == {"path": pointer}
 
 
 def postprocess_argv(tmp_path):

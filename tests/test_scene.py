@@ -162,7 +162,7 @@ def _overflow_cases():
     from hoiplan.reward import DEFAULT_BODY_WEIGHTS
     motion = motion_to_json(TestMotionIO().make_motion())
     scene = scene_to_json(small_scene())
-    scene["objects"][0]["points"] = [[0.1, 0.2, 0.3]] * 3
+    scene["objects"][0]["points"] = [[0.1, 0.2, 0.3] for _ in range(3)]
     entry = SceneMapEntry("b", np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
     grasp = GraspPose(Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0])), np.zeros(2))
     plan = ExecutionPlan([PlanStep("b", "move b", [(0.0, 0.0), (0.5, 0.5)])])
@@ -208,15 +208,106 @@ def test_number_past_the_double_range_is_schema_error(case, literal, tmp_path):
     if kind == "weights":
         (tmp_path / "w.json").write_text(text)
         text = tmp_path / "w.json"
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as e:
         _parser(kind)(text)
+    assert e.value.path == "/" + "/".join(map(str, where))
+
+
+def _parse_with(kind, doc, where, literal, tmp_path):
+    """Parse ``doc`` of ``kind`` with the value at ``where`` spelled ``literal``."""
+    _set(doc, where, SENTINEL)
+    text = json.dumps(doc).replace(repr(SENTINEL), literal)
+    if kind == "weights":
+        (tmp_path / "w.json").write_text(text)
+        text = tmp_path / "w.json"
+    return _parser(kind)(text)
+
+
+@pytest.mark.parametrize("literal", ["true", '"1.0"', "[0.5]", "null", "{}"],
+                         ids=["bool", "string", "list", "null", "object"])
+@pytest.mark.parametrize("case", range(len(_overflow_cases())),
+                         ids=[f"{kind}:{'/'.join(map(str, where))}"
+                              for kind, _, where in _overflow_cases()])
+def test_non_number_in_a_numeric_slot_is_schema_error(case, literal, tmp_path):
+    # every loader reads its numbers through one reader: a boolean or a string
+    # used to pass the scene-map, plan and grasp loaders as 1.0 or a float
+    kind, doc, where = _overflow_cases()[case]
+    with pytest.raises(SchemaError) as e:
+        _parse_with(kind, doc, where, literal, tmp_path)
+    assert e.value.path == "/" + "/".join(map(str, where))
+
+
+def _name_cases():
+    from hoiplan.layout import SceneMap, SceneMapEntry, scene_map_to_json
+    from hoiplan.planner import ExecutionPlan, PlanStep, plan_to_json
+    entry = SceneMapEntry("b", np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
+    plan = ExecutionPlan([PlanStep("b", "move b", [(0.0, 0.0)])])
+    return [("scene", scene_to_json(small_scene()), ["objects", 2, "id"]),
+            ("scene_map", scene_map_to_json(SceneMap([entry])), ["entries", 0, "id"]),
+            ("plan", plan_to_json(plan), ["steps", 0, "object"]),
+            ("plan", plan_to_json(plan), ["steps", 0, "text"])]
+
+
+@pytest.mark.parametrize("literal", ["5", '["a"]', '""', "null", "true", "{}"],
+                         ids=["number", "list", "empty", "null", "bool", "object"])
+@pytest.mark.parametrize("case", range(len(_name_cases())),
+                         ids=[f"{kind}:{'/'.join(map(str, where))}"
+                              for kind, _, where in _name_cases()])
+def test_id_that_is_not_a_non_empty_string_is_schema_error(case, literal, tmp_path):
+    kind, doc, where = _name_cases()[case]
+    with pytest.raises(SchemaError) as e:
+        _parse_with(kind, doc, where, literal, tmp_path)
+    assert e.value.path == "/" + "/".join(map(str, where))
+
+
+def _coordinate_cases():
+    """Slots of ``_overflow_cases``' documents that hold metres: bounds, half
+    extents, positions, cloud points, joints and route points."""
+    docs = {kind: doc for kind, doc, _ in _overflow_cases()}
+    return [(kind, docs[kind], where) for kind, where in [
+        ("scene", ["bounds", 0]), ("scene", ["objects", 1, "half_extents", 2]),
+        ("scene", ["objects", 1, "pose", "pos", 0]), ("scene", ["objects", 0, "points", 2, 1]),
+        ("motion", ["frames", 1, "joints", 0, 2]), ("motion", ["frames", 3, "object", "pos", 1]),
+        ("scene_map", ["entries", 0, "pos", 2]), ("grasps", ["left", "pos", 0]),
+        ("plan", ["steps", 0, "route", 1, 1])]]
+
+
+@pytest.mark.parametrize("literal", ["1e200", "-1000000000.5", "2" + "0" * 9],
+                         ids=["huge", "just-past", "integer"])
+@pytest.mark.parametrize("case", range(len(_coordinate_cases())),
+                         ids=[f"{kind}:{'/'.join(map(str, where))}"
+                              for kind, _, where in _coordinate_cases()])
+def test_coordinate_past_the_limit_is_schema_error(case, literal, tmp_path):
+    # squaring a coordinate near 1e154 overflows: 1e200 half extents made
+    # route print numpy overflow warnings and render write 200-digit numbers
+    kind, doc, where = _coordinate_cases()[case]
+    with pytest.raises(SchemaError) as e:
+        _parse_with(kind, doc, where, literal, tmp_path)
+    assert e.value.path == "/" + "/".join(map(str, where))
+    assert str(e.value) == f"{e.value.path}: magnitude must not exceed 1e+09"
+
+
+def test_coordinates_at_the_limit_are_admitted():
+    assert hoiplan.scene.MAX_COORDINATE == 1e9
+    doc = scene_to_json(small_scene())
+    doc["bounds"] = [-1e9, -1e9, 1e9, 1e9]
+    doc["objects"][0]["half_extents"] = [1e9, 0.5, 0.5]
+    doc["objects"][0]["pose"]["pos"] = [-1e9, 1e9, -1e9]
+    scene = parse_scene_json(json.dumps(doc))
+    assert scene.objects[0].initial_pose.position.tolist() == [-1e9, 1e9, -1e9]
+    motion = TestMotionIO().make_motion()
+    motion.joints[2, 1] = [1e9, -1e9, 0.0]
+    motion.object_pos[0] = [0.0, -1e9, 1e9]
+    again = parse_motion_json(dump_json(motion_to_json(motion)))
+    assert np.array_equal(again.joints, motion.joints)
+    assert np.array_equal(again.object_pos, motion.object_pos)
 
 
 @pytest.mark.parametrize("kind,where,literal,path", [
-    ("motion", ["frames", 2, "joints", 1, 0], "1e999", "/frames/2/joints"),
+    ("motion", ["frames", 2, "joints", 1, 0], "1e999", "/frames/2/joints/1/0"),
     ("motion", ["frames", 2, "joints", 1, 0], "9" * 401, "/frames/2/joints/1/0"),
-    ("scene", ["objects", 1, "pose", "pos", 2], "-1e999", "/objects/1/pose/pos"),
-    ("scene", ["objects", 2, "half_extents", 0], "1e999", "/objects/2/half_extents"),
+    ("scene", ["objects", 1, "pose", "pos", 2], "-1e999", "/objects/1/pose/pos/2"),
+    ("scene", ["objects", 2, "half_extents", 0], "1e999", "/objects/2/half_extents/0"),
     ("scene", ["bounds", 3], "9" * 401, "/bounds/3")],
     ids=["motion-inf", "motion-integer", "scene-pose", "scene-half-extents", "scene-bounds"])
 def test_out_of_range_error_names_the_value(kind, where, literal, path):
@@ -380,8 +471,8 @@ def test_valid_motion_loads_without_the_per_number_walker(monkeypatch, tmp_path)
 
     def refuse(*args):
         raise AssertionError("a valid motion went through the per-number walker")
-    monkeypatch.setattr(hoiplan.scene, "_floats", refuse)
-    monkeypatch.setattr(hoiplan.scene, "_pose_from_json", refuse)
+    monkeypatch.setattr(hoiplan.scene, "read_floats", refuse)
+    monkeypatch.setattr(hoiplan.scene, "read_pose", refuse)
     again = load_motion(tmp_path / "motion.json")
     for name in ("joints", "joint_rot6d", "object_pos", "object_quat", "contact"):
         assert np.array_equal(getattr(again, name), getattr(motion, name)), name
