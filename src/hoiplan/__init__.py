@@ -18,9 +18,9 @@ from .llm import (HttpBackend, LlmResponse, MissingFixture, MockBackend, PromptB
                   SectionMissing, complete, extract_sections, render_prompt, save_fixture)
 from .motion import (ConditionTensors, EmptyContact, GraspPose, HandPhases, IkChain,
                      IkResult, PhaseSegmentation, ShapeMismatch, WindowOutOfRange,
-                     average_pose, build_conditions, ik_solve, postprocess_motion,
-                     recompute_wrist, relative_pose_loss, sample_box_surface,
-                     segment_phases, smooth_boundary)
+                     build_conditions, ik_solve, postprocess_motion, recompute_wrist,
+                     relative_pose_loss, sample_box_surface, segment_phases,
+                     smooth_boundary)
 from .planner import (DuplicateStep, ExecutionPlan, GoalOccupied, MissingStep, NoPath,
                       OccupancyGrid, PlanStep, StartOccupied, astar, astar_cells,
                       dependency_order, downsample, load_plan, plan_routes, rasterize,

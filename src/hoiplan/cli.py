@@ -109,12 +109,7 @@ def _parse_chains(text: str):
 def cmd_plan(args) -> int:
     scene = load_scene(args.scene)
     bundle = render_prompt(scene, args.instruction)
-    if args.backend == "mock":
-        if not args.fixtures:
-            raise HoiplanError("--fixtures is required with the mock backend")
-        backend = MockBackend(args.fixtures)
-    else:
-        backend = HttpBackend.from_env()
+    backend = MockBackend(args.fixtures) if args.backend == "mock" else HttpBackend.from_env()
     response = complete(bundle, backend)
     relations = parse_relations(response.relations_text)
     proposed = parse_plan(response.plan_text)
@@ -252,6 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "plan" and args.backend == "mock" and not args.fixtures:
+        parser.error("plan: --fixtures is required with the mock backend")
     try:
         return args.func(args)
     except HoiplanError as e:

@@ -131,9 +131,12 @@ def parse_scene_map_json(text: str) -> SceneMap:
     raw_entries = read_field(loads(text), "entries", "")
     require(isinstance(raw_entries, list), "expected a list", "/entries")
     entries = []
+    seen = set()
     for i, raw in enumerate(raw_entries):
         path = f"/entries/{i}"
         object_id = read_name(read_field(raw, "id", path), f"{path}/id")
+        require(object_id not in seen, f"repeated id {object_id!r}", f"{path}/id")
+        seen.add(object_id)
         pose = read_pose(raw, path)
         entries.append(SceneMapEntry(object_id, pose.position, pose.orientation))
     return SceneMap(entries)

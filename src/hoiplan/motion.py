@@ -106,20 +106,6 @@ def segment_phases(labels, threshold: float = CONTACT_THRESHOLD,
                              segment_hand(labels[:, 1], threshold, min_run))
 
 
-def average_pose(poses) -> Pose:
-    """Mean pose: arithmetic position mean, sign-aligned normalized quaternion mean."""
-    poses = list(poses)
-    if not poses:
-        raise EmptyContact("cannot average zero poses")
-    pos = np.mean([p.position for p in poses], axis=0)
-    ref = poses[0].orientation
-    acc = np.zeros(4)
-    for p in poses:
-        q = p.orientation
-        acc += q if float(q @ ref) >= 0 else -q
-    return Pose(pos, quat_normalize(acc))
-
-
 # ---------------------------------------------------------------------------
 # wrist-object relative pose
 
@@ -139,6 +125,8 @@ def parse_grasps_json(text: str) -> dict[str, GraspPose | None]:
     """Per-hand grasp file: {"left": {"pos", "quat", "fingers"?} | null, "right": ...}."""
     doc = loads(text)
     require(isinstance(doc, dict), "expected an object with 'left' and 'right'", "")
+    for key in doc:
+        require(key in ("left", "right"), "unknown key; expected 'left' or 'right'", f"/{key}")
     out: dict[str, GraspPose | None] = {}
     for hand in ("left", "right"):
         raw = doc.get(hand)
@@ -154,15 +142,17 @@ def load_grasps(path) -> dict[str, GraspPose | None]:
 
 
 def points_in_wrist_frame(object_traj, wrist_traj, rest_points) -> np.ndarray:
-    """Object surface points expressed in the wrist frame at every time step."""
-    rest_points = np.asarray(rest_points, dtype=float)
-    if len(object_traj) != len(wrist_traj):
-        raise ShapeMismatch("object and wrist trajectories differ in length")
-    out = np.empty((len(object_traj), rest_points.shape[0], 3))
-    for t, (obj, wrist) in enumerate(zip(object_traj, wrist_traj)):
-        k_global = quat_rotate(obj.orientation, rest_points) + obj.position
-        out[t] = quat_rotate(quat_conjugate(wrist.orientation), k_global - wrist.position)
-    return out
+    """Object surface points expressed in the wrist frame at every time step.
+
+    Each trajectory is a (positions (T, 3), unit quaternions (T, 4)) pair;
+    the result is (T, N, 3) for N rest points.
+    """
+    obj_pos, obj_quat, wrist_pos, wrist_quat = (np.asarray(a, dtype=float)
+                                                for a in (*object_traj, *wrist_traj))
+    if not len(obj_pos) == len(obj_quat) == len(wrist_pos) == len(wrist_quat):
+        raise ShapeMismatch("trajectory arrays differ in length")
+    k_global = quat_rotate(obj_quat[:, None], rest_points) + obj_pos[:, None]
+    return quat_rotate(quat_conjugate(wrist_quat)[:, None], k_global - wrist_pos[:, None])
 
 
 def relative_pose_loss(object_traj, wrist_traj, rest_points, wrist_reference,
@@ -171,14 +161,15 @@ def relative_pose_loss(object_traj, wrist_traj, rest_points, wrist_reference,
 
     Per frame the rest points are carried to world by the object pose, pulled
     into the wrist frame, and compared against the reference; the per-frame
-    term is scaled by that frame's contact label. Returns the total plus the
-    per-frame breakdown.
+    term is scaled by that frame's contact label. The trajectories are
+    (positions, quaternions) pairs as in ``points_in_wrist_frame``. Returns
+    the total plus the per-frame breakdown.
     """
     rest_points = np.asarray(rest_points, dtype=float)
     wrist_reference = np.asarray(wrist_reference, dtype=float)
     labels = np.asarray(labels, dtype=float).reshape(-1)
-    t = len(object_traj)
-    if not (len(wrist_traj) == t and wrist_reference.shape[0] == t and labels.shape[0] == t):
+    t = len(object_traj[0])
+    if not (len(wrist_traj[0]) == t and wrist_reference.shape[0] == t and labels.shape[0] == t):
         raise ShapeMismatch("trajectory, reference, and label lengths disagree")
     if wrist_reference.shape[1:] != rest_points.shape:
         raise ShapeMismatch("reference shape does not match the rest points")
@@ -210,12 +201,6 @@ def sample_box_surface(half_extents, count: int = REST_SURFACE_SAMPLES,
 # ---------------------------------------------------------------------------
 # boundary smoothing
 
-def _stack(traj) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (T, 3) and orientations (T, 4) of a pose list."""
-    return (np.array([p.position for p in traj]).reshape(-1, 3),
-            np.array([p.orientation for p in traj]).reshape(-1, 4))
-
-
 def pose_delta(target: Pose, base: Pose) -> np.ndarray:
     """6-vector (position delta, axis-angle delta) such that base + delta = target."""
     dpos = target.position - base.position
@@ -225,41 +210,41 @@ def pose_delta(target: Pose, base: Pose) -> np.ndarray:
 
 
 def ramp_poses(traj, boundary: int, window: int, delta,
-               direction: str = "forward") -> list[Pose]:
+               direction: str = "forward") -> tuple[np.ndarray, np.ndarray]:
     """Fade a pose delta from full strength at the boundary to zero over a window.
 
-    ``forward`` touches frames [boundary, boundary+window); ``backward``
-    touches (boundary-window, boundary]. Frames at or past the window end are
-    returned untouched (bit-identical). Rotations blend via the exponential map.
+    ``traj`` is a (positions (T, 3), unit quaternions (T, 4)) pair, and a new
+    pair comes back. ``forward`` touches frames [boundary, boundary+window);
+    ``backward`` touches (boundary-window, boundary]. Frames at or past the
+    window end keep their bits. Rotations blend via the exponential map.
     """
-    traj = list(traj)
-    t = len(traj)
+    pos, quat = (np.array(a, dtype=float) for a in traj)
+    t = len(pos)
     if not 0 <= boundary < t:
         raise WindowOutOfRange(f"boundary {boundary} outside [0, {t})")
     if window < 1:
         raise WindowOutOfRange(f"window must be at least 1, got {window}")
-    out = list(traj)
     delta = np.asarray(delta, dtype=float).reshape(6)
     if float(np.abs(delta).max()) < 1e-12:
-        return out  # nothing to smooth; keep frames bit-identical
+        return pos, quat  # nothing to smooth; keep frames bit-identical
     forward = direction == "forward"
-    n = min(window, t - boundary if forward else boundary + 1)
-    frames = [boundary + k if forward else boundary - k for k in range(n)]
-    alpha = np.array([[1.0 - k / window] for k in range(n)])
-    pos, quat = _stack([traj[i] for i in frames])
-    rot = quat_multiply(quat_from_axis_angle(alpha * delta[3:]), quat)
-    for i, p, q in zip(frames, pos + alpha * delta[:3], rot):
-        out[i] = Pose(p, q)
-    return out
+    k = np.arange(min(window, t - boundary if forward else boundary + 1))
+    frames = boundary + k if forward else boundary - k
+    alpha = (1.0 - k / window)[:, None]
+    pos[frames] += alpha * delta[:3]
+    quat[frames] = quat_normalize(quat_multiply(quat_from_axis_angle(alpha * delta[3:]),
+                                                quat[frames]))
+    return pos, quat
 
 
 def smooth_boundary(traj, boundary: int, window: int, static_pose: Pose,
-                    direction: str = "forward") -> list[Pose]:
-    """Ramp a trajectory so its boundary frame lands exactly on the static pose."""
-    traj = list(traj)
-    if not 0 <= boundary < len(traj):
-        raise WindowOutOfRange(f"boundary {boundary} outside [0, {len(traj)})")
-    delta = pose_delta(static_pose, traj[boundary])
+                    direction: str = "forward") -> tuple[np.ndarray, np.ndarray]:
+    """Ramp a (positions, quaternions) trajectory so its boundary frame lands
+    exactly on the static pose."""
+    pos, quat = traj
+    if not 0 <= boundary < len(pos):
+        raise WindowOutOfRange(f"boundary {boundary} outside [0, {len(pos)})")
+    delta = pose_delta(static_pose, Pose(pos[boundary], quat[boundary]))
     return ramp_poses(traj, boundary, window, delta, direction)
 
 
@@ -267,28 +252,34 @@ def smooth_boundary(traj, boundary: int, window: int, static_pose: Pose,
 # wrist recomputation
 
 def recompute_wrist(object_traj, wrist_traj, grasp: GraspPose, contact: tuple[int, int],
-                    window: int = SMOOTHING_WINDOW) -> list[Pose]:
+                    window: int = SMOOTHING_WINDOW) -> tuple[np.ndarray, np.ndarray]:
     """Rigidly recompute contact-phase wrist poses from the object and grasp.
 
-    Contact frames become exactly object_pose * grasp; the pre- and
-    post-contact flanks are ramped toward the recomputed boundary values so
-    the hand does not pop at the phase edges.
+    Both trajectories are (positions (T, 3), unit quaternions (T, 4)) pairs,
+    and the new wrist trajectory comes back as one. Contact frames become
+    exactly object pose * grasp; the pre- and post-contact flanks are ramped
+    toward the recomputed boundary values so the hand does not pop at the
+    phase edges.
     """
     s, e = contact
-    t = len(object_traj)
-    if len(wrist_traj) != t:
-        raise ShapeMismatch("object and wrist trajectories differ in length")
+    obj_pos, obj_quat = object_traj
+    t = len(obj_pos)
+    if not t == len(obj_quat) == len(wrist_traj[0]) == len(wrist_traj[1]):
+        raise ShapeMismatch("trajectory arrays differ in length")
     if not (0 <= s < e <= t):
         raise EmptyContact(f"contact range {contact} is empty or out of bounds")
-    out = list(wrist_traj)
-    pos, quat = _stack(object_traj[s:e])
     g = grasp.wrist_pose
-    out[s:e] = map(Pose, quat_rotate(quat, g.position) + pos, quat_multiply(quat, g.orientation))
+    held_pos = quat_rotate(obj_quat[s:e], g.position) + obj_pos[s:e]
+    held_quat = quat_normalize(quat_multiply(obj_quat[s:e], g.orientation))
+    pre = post = wrist_traj
     if s > 0:
-        out[:s] = smooth_boundary(wrist_traj, s, window, out[s], direction="backward")[:s]
+        pre = smooth_boundary(wrist_traj, s, window, Pose(held_pos[0], held_quat[0]),
+                              direction="backward")
     if e < t:
-        out[e:] = smooth_boundary(wrist_traj, e - 1, window, out[e - 1], direction="forward")[e:]
-    return out
+        post = smooth_boundary(wrist_traj, e - 1, window, Pose(held_pos[-1], held_quat[-1]),
+                               direction="forward")
+    return tuple(np.concatenate([a[:s], held, b[e:]])
+                 for a, held, b in zip(pre, (held_pos, held_quat), post))
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +294,8 @@ class ConditionTensors:
     contact_mask: np.ndarray  # (T, 2)
 
 
-def _object_row(pose: Pose) -> np.ndarray:
-    return np.concatenate([pose.position, quat_to_matrix(pose.orientation).reshape(9)])
+def _object_row(pos, quat) -> np.ndarray:
+    return np.concatenate([pos, quat_to_matrix(quat_normalize(quat)).reshape(9)])
 
 
 def _human_row(motion: MotionSequence, t: int) -> np.ndarray:
@@ -334,17 +325,13 @@ def build_conditions(motion: MotionSequence, seg: PhaseSegmentation,
     d = motion.num_joints * 9
     s_r = np.zeros((t, d + 12))
     s_r[0, :d] = _human_row(motion, 0)
-    s_r[0, d:] = _object_row(motion.object_pose(0))
-    s_r[t - 1, d:] = _object_row(motion.object_pose(t - 1))
+    s_r[0, d:] = _object_row(motion.object_pos[0], motion.object_quat[0])
+    s_r[t - 1, d:] = _object_row(motion.object_pos[-1], motion.object_quat[-1])
 
     span = object_contact_span(seg)
-    pre_static = _object_row(motion.object_pose(0))
-    post_static = _object_row(motion.object_pose(t - 1))
-    for frame in range(t):
-        if span is None or frame < span[0]:
-            s_r[frame, d:] = pre_static
-        elif frame >= span[1]:
-            s_r[frame, d:] = post_static
+    s, e = span or (t, t)  # static frames: before the span, or all without one
+    s_r[:s, d:] = s_r[0, d:]
+    s_r[e:, d:] = s_r[t - 1, d:]
 
     if waypoints is not None and span is not None:
         waypoints = np.asarray(waypoints, dtype=float)
@@ -516,8 +503,9 @@ def ik_solve(chain: IkChain, target, initial_rotations=None, max_iters: int = 10
 # end-to-end post-processing
 
 def pose_jump(traj) -> float:
-    """Largest frame-to-frame pose change: position norm plus rotation angle."""
-    pos, quat = _stack(traj)
+    """Largest frame-to-frame change of a (positions, quaternions) trajectory:
+    position norm plus rotation angle."""
+    pos, quat = traj
     jumps = vec_norm(pos[1:] - pos[:-1]) + quat_geodesic_angle(quat[:-1], quat[1:])
     return max([0.0, *jumps.tolist()])
 
@@ -550,19 +538,14 @@ def postprocess_motion(motion: MotionSequence, grasps: dict[str, GraspPose | Non
     seg = segment_phases(motion.contact, threshold, min_run)
     span = object_contact_span(seg)
 
-    before = [motion.object_pose(i) for i in range(t)]
-    traj = list(before)
-    pre_pose = static_pre if static_pre is not None else before[0]
-    post_pose = static_post if static_post is not None else before[-1]
-
-    if span is None:
-        traj = [pre_pose] * t
-    else:
-        s, e = span
-        for i in range(s):
-            traj[i] = pre_pose
-        for i in range(e, t):
-            traj[i] = post_pose
+    before = motion.object_pos, quat_normalize(motion.object_quat)
+    pre_pose = static_pre if static_pre is not None else Pose(before[0][0], before[1][0])
+    post_pose = static_post if static_post is not None else Pose(before[0][-1], before[1][-1])
+    s, e = span or (t, t)  # no contact span: the whole clip is static-pre
+    traj = tuple(np.concatenate([np.tile(first, (s, 1)), held[s:e], np.tile(last, (t - e, 1))])
+                 for first, held, last in zip((pre_pose.position, pre_pose.orientation), before,
+                                              (post_pose.position, post_pose.orientation)))
+    if span is not None:
         win = max(1, min(window, e - s))
         if s > 0:
             traj = smooth_boundary(traj, s, win, pre_pose, direction="forward")
@@ -582,7 +565,7 @@ def postprocess_motion(motion: MotionSequence, grasps: dict[str, GraspPose | Non
         "wrists": {},
     }
 
-    obj_pos, obj_quat = _stack(traj)
+    obj_pos, obj_quat = traj
     for hand in ("left", "right"):
         grasp = grasps.get(hand)
         phases = seg.hand(hand)
@@ -593,9 +576,8 @@ def postprocess_motion(motion: MotionSequence, grasps: dict[str, GraspPose | Non
         widx = wrist_joints[hand]
         old_pos = motion.joints[:, widx]
         old_quat = matrix_to_quat(rot6d_decode(motion.joint_rot6d[:, widx]))
-        new_wrist = recompute_wrist(traj, list(map(Pose, old_pos, old_quat)), grasp,
-                                    phases.contact, window)
-        new_pos, new_quat = _stack(new_wrist)
+        new_pos, new_quat = recompute_wrist(traj, (old_pos, old_quat), grasp, phases.contact,
+                                            window)
         joints[:, widx] = new_pos
         rot6d[:, widx] = rot6d_encode(new_quat)
         ik_residuals = []

@@ -152,9 +152,6 @@ class MotionSequence:
     def num_joints(self) -> int:
         return self.joints.shape[1]
 
-    def object_pose(self, t: int) -> Pose:
-        return Pose(self.object_pos[t], self.object_quat[t])
-
 
 # ---------------------------------------------------------------------------
 # box geometry

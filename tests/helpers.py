@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hoiplan.geometry import (DegenerateRotation, Pose, compose, quat_normalize, quat_rotate,
-                              quat_to_matrix)
-from hoiplan.motion import (GraspPose, IkChain, IkResult, object_contact_span, pose_delta,
-                            segment_phases)
+from hoiplan.geometry import (DegenerateRotation, Pose, compose, quat_conjugate, quat_normalize,
+                              quat_rotate, quat_to_matrix)
+from hoiplan.motion import (EmptyContact, GraspPose, IkChain, IkResult, object_contact_span,
+                            pose_delta, segment_phases)
 from hoiplan.layout import UnknownObject
 from hoiplan.planner import (APPROACH_DISTANCE, DEFAULT_AGENT_RADIUS, DEFAULT_RESOLUTION,
                              ExecutionPlan, GoalOccupied, NoPath, OccupancyGrid, PathResult,
@@ -41,6 +41,26 @@ def polygon_area(poly) -> float:
     poly = np.asarray(poly, dtype=float)
     x, y = poly[:, 0], poly[:, 1]
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def stack_poses(poses) -> tuple[np.ndarray, np.ndarray]:
+    """A pose list as a (positions (T, 3), quaternions (T, 4)) trajectory."""
+    return (np.array([p.position for p in poses]).reshape(-1, 3),
+            np.array([p.orientation for p in poses]).reshape(-1, 4))
+
+
+def average_pose(poses) -> Pose:
+    """Mean pose: arithmetic position mean, sign-aligned normalized quaternion mean."""
+    poses = list(poses)
+    if not poses:
+        raise EmptyContact("cannot average zero poses")
+    pos = np.mean([p.position for p in poses], axis=0)
+    ref = poses[0].orientation
+    acc = np.zeros(4)
+    for p in poses:
+        q = p.orientation
+        acc += q if float(q @ ref) >= 0 else -q
+    return Pose(pos, quat_normalize(acc))
 
 
 def grasp_world_pose(object_pose: Pose, grasp: GraspPose) -> Pose:
@@ -693,22 +713,35 @@ def _smooth_boundary_oracle(traj, boundary, window, static_pose, direction):
     return out
 
 
-def postprocess_oracle(motion, grasps, threshold, min_run, window, wrist_joints, arm_chains):
+def points_in_wrist_frame_oracle(object_traj, wrist_traj, rest_points) -> np.ndarray:
+    """points_in_wrist_frame one frame at a time, on pose lists."""
+    rest_points = np.asarray(rest_points, dtype=float)
+    out = np.empty((len(object_traj), rest_points.shape[0], 3))
+    for t, (obj, wrist) in enumerate(zip(object_traj, wrist_traj)):
+        k_global = quat_rotate(obj.orientation, rest_points) + obj.position
+        out[t] = quat_rotate(quat_conjugate(wrist.orientation), k_global - wrist.position)
+    return out
+
+
+def postprocess_oracle(motion, grasps, threshold, min_run, window, wrist_joints, arm_chains,
+                       static_pre=None, static_post=None):
     """postprocess_motion frame by frame: one wrist pose, one encode and one CCD chain
     per frame. Contact segmentation and pose_delta are shared with hoiplan.motion."""
     t = motion.num_frames
     seg = segment_phases(motion.contact, threshold, min_run)
     span = object_contact_span(seg)
     before = [Pose(motion.object_pos[i], motion.object_quat[i]) for i in range(t)]
-    traj = [before[0]] * t
+    pre = static_pre if static_pre is not None else before[0]
+    post = static_post if static_post is not None else before[-1]
+    traj = [pre] * t
     if span is not None:
         s, e = span
-        traj = [before[0]] * s + before[s:e] + [before[-1]] * (t - e)
+        traj = [pre] * s + before[s:e] + [post] * (t - e)
         win = max(1, min(window, e - s))
         if s > 0:
-            traj = _smooth_boundary_oracle(traj, s, win, before[0], "forward")
+            traj = _smooth_boundary_oracle(traj, s, win, pre, "forward")
         if e < t:
-            traj = _smooth_boundary_oracle(traj, e - 1, win, before[-1], "backward")
+            traj = _smooth_boundary_oracle(traj, e - 1, win, post, "backward")
     joints = motion.joints.copy()
     rot6d = motion.joint_rot6d.copy()
     diagnostics = {

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import WORKSPACE_INSTRUCTION, build_interaction_motion
 from helpers import (assert_layout_invariants, dijkstra_oracle, grasps_to_json, make_random_scene,
-                     random_quat, workspace_scene)
+                     random_quat, stack_poses, workspace_scene)
 
 from hoiplan.cli import main
 from hoiplan.geometry import (Pose, matrix_to_quat, quat_conjugate, quat_geodesic_angle,
@@ -170,9 +170,10 @@ def test_c4_relative_pose_loss():
     for _ in range(10):
         rest = rng.uniform(-0.3, 0.3, size=(100, 3))
         grasp = random_pose(rng)
-        object_traj = [random_pose(rng) for _ in range(15)]
+        object_poses = [random_pose(rng) for _ in range(15)]
         from hoiplan.geometry import compose
-        wrist_traj = [compose(o, grasp) for o in object_traj]
+        object_traj = stack_poses(object_poses)
+        wrist_traj = stack_poses([compose(o, grasp) for o in object_poses])
         reference = points_in_wrist_frame(object_traj, wrist_traj, rest)
         labels = rng.uniform(size=15)
         loss, _ = relative_pose_loss(object_traj, wrist_traj, rest, reference, labels)
@@ -187,15 +188,16 @@ def test_c4_relative_pose_loss():
         wrist_traj = [random_pose(rng) for _ in range(t)]
         reference = rng.normal(size=(t, n, 3))
         labels = rng.uniform(size=t)
-        loss, per_frame = relative_pose_loss(object_traj, wrist_traj, rest, reference, labels)
+        loss, per_frame = relative_pose_loss(stack_poses(object_traj), stack_poses(wrist_traj),
+                                             rest, reference, labels)
         assert abs(loss - _loss_oracle(object_traj, wrist_traj, rest, reference,
                                        labels)) <= 1e-9
 
     # the mask zeroes non-contact frames exactly
     t = 8
     rest = rng.normal(size=(10, 3))
-    object_traj = [random_pose(rng) for _ in range(t)]
-    wrist_traj = [random_pose(rng) for _ in range(t)]
+    object_traj = stack_poses([random_pose(rng) for _ in range(t)])
+    wrist_traj = stack_poses([random_pose(rng) for _ in range(t)])
     reference = rng.normal(size=(t, 10, 3))
     labels = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
     _, per_frame = relative_pose_loss(object_traj, wrist_traj, rest, reference, labels)

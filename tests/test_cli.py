@@ -45,6 +45,13 @@ class TestPlanCommand:
                   "--backend", "carrier-pigeon"])
         assert e.value.code == 2
 
+    def test_missing_fixtures_is_usage_error(self, workspace_files, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["plan", str(workspace_files["scene"]), "--instruction",
+                  workspace_files["instruction"], "--out", str(workspace_files["out"])])
+        assert e.value.code == 2
+        assert "--fixtures" in capsys.readouterr().err
+
     def test_cycle_exits_1_with_payload(self, tmp_path, capsys, workspace_files):
         from hoiplan.llm import render_prompt, save_fixture
         from hoiplan.scene import load_scene
@@ -493,17 +500,20 @@ class TestBoundaryErrors:
     ("grasp", ["right", "quat"], [0, 0, 0, 0], "/right/quat"),
     ("grasp", ["left"], [1, 2], "/left"),
     ("grasp", ["right", "fingers"], [0.5, False], "/right/fingers/1"),
+    ("grasp", ["Left"], {"pos": [0, 0, 0], "quat": [1, 0, 0, 0]}, "/Left"),
     ("scene_map", ["entries", 0, "pos"], ["1", 0, 0], "/entries/0/pos/0"),
     ("scene_map", ["entries", 1, "id"], 5, "/entries/1/id"),
     ("scene_map", ["entries", 0, "id"], ["a"], "/entries/0/id"),
     ("scene_map", ["entries", 2, "quat"], [0, 0, 0, 0], "/entries/2/quat"),
+    ("scene_map", ["entries", 2, "id"], "chair", "/entries/2/id"),
     ("plan", ["steps", 0, "route"], [[True, 1]], "/steps/0/route/0/0"),
     ("plan", ["steps", 1, "route"], [[0, 0], ["1.5", 1]], "/steps/1/route/1/0"),
     ("plan", ["steps", 0, "object"], 7, "/steps/0/object"),
     ("plan", ["steps", 2, "text"], "", "/steps/2/text")],
     ids=["grasp-string", "grasp-bool", "grasp-nested", "grasp-zero-quat", "grasp-list",
-         "grasp-finger-bool", "map-string", "map-number-id", "map-list-id", "map-zero-quat",
-         "plan-bool", "plan-string", "plan-number-object", "plan-empty-text"])
+         "grasp-finger-bool", "grasp-unknown-key", "map-string", "map-number-id",
+         "map-list-id", "map-zero-quat", "map-repeated-id", "plan-bool", "plan-string",
+         "plan-number-object", "plan-empty-text"])
 def test_malformed_value_is_schema_error_at_its_pointer(kind, where, value, pointer,
                                                         workspace_files, tmp_path, capsys):
     # the scene-map, plan and grasp loaders used to let these through, end in a

@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 from conftest import build_interaction_motion
-from helpers import (fk_oracle, grasp_world_pose, ik_solve_oracle, postprocess_oracle, random_quat,
-                     same_bits)
+from helpers import (average_pose, fk_oracle, grasp_world_pose, ik_solve_oracle,
+                     points_in_wrist_frame_oracle, postprocess_oracle, random_quat, same_bits,
+                     stack_poses)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoiplan.geometry import (Pose, compose, invert, quat_conjugate, quat_from_axis_angle,
                               quat_from_yaw, quat_geodesic_angle, quat_multiply, quat_rotate)
 from hoiplan.motion import (EmptyContact, GraspPose, HandPhases, IkChain, ShapeMismatch,
-                            WindowOutOfRange, average_pose, build_conditions, ik_solve,
+                            WindowOutOfRange, build_conditions, ik_solve,
                             ik_solve_batch, object_contact_span, points_in_wrist_frame,
                             pose_delta, postprocess_motion, ramp_poses, recompute_wrist,
                             relative_pose_loss, sample_box_surface, segment_hand, segment_phases,
@@ -112,8 +113,9 @@ class TestRelativePoseLoss:
     def make_rigid_fixture(self, rng, t=12, n=20):
         rest = rng.uniform(-0.2, 0.2, size=(n, 3))
         grasp = random_pose(rng)
-        object_traj = [random_pose(rng) for _ in range(t)]
-        wrist_traj = [compose(o, grasp) for o in object_traj]
+        object_poses = [random_pose(rng) for _ in range(t)]
+        object_traj = stack_poses(object_poses)
+        wrist_traj = stack_poses([compose(o, grasp) for o in object_poses])
         labels = (rng.uniform(size=t) > 0.3).astype(float)
         reference = points_in_wrist_frame(object_traj, wrist_traj, rest)
         return object_traj, wrist_traj, rest, reference, labels
@@ -128,9 +130,9 @@ class TestRelativePoseLoss:
     def test_zero_labels_zero_loss(self):
         rng = np.random.default_rng(11)
         object_traj, wrist_traj, rest, ref, _ = self.make_rigid_fixture(rng)
-        other = [random_pose(rng) for _ in object_traj]
-        loss, per_frame = relative_pose_loss(object_traj, other, rest,
-                                             ref, np.zeros(len(object_traj)))
+        t = len(object_traj[0])
+        other = stack_poses([random_pose(rng) for _ in range(t)])
+        loss, per_frame = relative_pose_loss(object_traj, other, rest, ref, np.zeros(t))
         assert loss == 0.0
         assert np.all(per_frame == 0.0)
 
@@ -140,10 +142,11 @@ class TestRelativePoseLoss:
         labels = np.zeros(6)
         labels[2] = 1.0
         delta = rng.normal(size=3) * 0.05
-        bumped = list(wrist_traj)
-        bumped[2] = Pose(wrist_traj[2].position + delta, wrist_traj[2].orientation)
-        loss, per_frame = relative_pose_loss(object_traj, bumped, rest, ref, labels)
-        rotated = quat_rotate(quat_conjugate(wrist_traj[2].orientation), delta)
+        wrist_pos, wrist_quat = wrist_traj
+        bumped = wrist_pos.copy()
+        bumped[2] += delta
+        loss, per_frame = relative_pose_loss(object_traj, (bumped, wrist_quat), rest, ref, labels)
+        rotated = quat_rotate(quat_conjugate(wrist_quat[2]), delta)
         expected = 100 * np.abs(rotated).sum()
         assert loss == pytest.approx(expected, abs=1e-9)
         assert per_frame[2] == pytest.approx(expected, abs=1e-9)
@@ -157,7 +160,8 @@ class TestRelativePoseLoss:
             wrist_traj = [random_pose(rng) for _ in range(t)]
             ref = rng.normal(size=(t, n, 3))
             labels = rng.uniform(size=t)
-            loss, _ = relative_pose_loss(object_traj, wrist_traj, rest, ref, labels)
+            loss, _ = relative_pose_loss(stack_poses(object_traj), stack_poses(wrist_traj),
+                                         rest, ref, labels)
             oracle = 0.0
             for i in range(t):
                 ro = np.array([[float(x) for x in row] for row in
@@ -173,70 +177,94 @@ class TestRelativePoseLoss:
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(14)
-        object_traj = [random_pose(rng) for _ in range(3)]
-        wrist_traj = [random_pose(rng) for _ in range(4)]
+        object_traj = stack_poses([random_pose(rng) for _ in range(3)])
+        wrist_traj = stack_poses([random_pose(rng) for _ in range(4)])
         with pytest.raises(ShapeMismatch):
             relative_pose_loss(object_traj, wrist_traj, np.zeros((5, 3)),
                                np.zeros((3, 5, 3)), np.zeros(3))
+        with pytest.raises(ShapeMismatch):  # one quaternion short
+            relative_pose_loss(object_traj, (wrist_traj[0][:3], wrist_traj[1][:2]),
+                               np.zeros((5, 3)), np.zeros((3, 5, 3)), np.zeros(3))
+
+
+@st.composite
+def poses(draw):
+    """A pose with any position in a 10 m cube and any drawn quaternion, normalized."""
+    quat = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(4)])
+    if np.linalg.norm(quat) < 1e-3:
+        quat = np.array([1.0, 0.0, 0.0, 0.0])
+    return Pose(np.array([draw(st.floats(-5.0, 5.0)) for _ in range(3)]), quat)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 8).flatmap(lambda t: st.tuples(st.lists(poses(), min_size=t, max_size=t),
+                                                     st.lists(poses(), min_size=t, max_size=t))),
+       st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), max_size=6))
+def test_points_in_wrist_frame_matches_per_frame_oracle(trajectories, rest):
+    object_poses, wrist_poses = trajectories
+    rest = np.array(rest).reshape(-1, 3)
+    got = points_in_wrist_frame(stack_poses(object_poses), stack_poses(wrist_poses), rest)
+    assert same_bits(got, points_in_wrist_frame_oracle(object_poses, wrist_poses, rest))
+
+
+def pose_at(traj, t) -> Pose:
+    return Pose(traj[0][t], traj[1][t])
+
 
 
 class TestSmoothing:
     def make_traj(self, rng, t=30):
-        return [random_pose(rng) for _ in range(t)]
+        return stack_poses([random_pose(rng) for _ in range(t)])
 
     def test_zero_delta_unchanged(self):
         rng = np.random.default_rng(20)
         traj = self.make_traj(rng)
-        out = smooth_boundary(traj, 5, 10, traj[5])
-        for a, b in zip(traj, out):
-            assert a.almost_equal(b, 1e-12)
+        out = smooth_boundary(traj, 5, 10, pose_at(traj, 5))
+        for t in range(len(traj[0])):
+            assert pose_at(traj, t).almost_equal(pose_at(out, t), 1e-12)
 
     def test_boundary_frame_equals_static(self):
         rng = np.random.default_rng(21)
         traj = self.make_traj(rng)
         static = random_pose(rng)
         out = smooth_boundary(traj, 8, 10, static)
-        assert out[8].almost_equal(static, 1e-9)
+        assert pose_at(out, 8).almost_equal(static, 1e-9)
 
     def test_linear_position_ramp(self):
-        base = [Pose(np.zeros(3), np.array([1, 0, 0, 0])) for _ in range(30)]
         static = Pose(np.array([0.1, 0.0, 0.0]), np.array([1, 0, 0, 0]))
-        out = smooth_boundary(base, 0, 10, static)
+        pos, _ = smooth_boundary(stack_poses([Pose.identity()] * 30), 0, 10, static)
         for k in range(10):
-            assert out[k].position[0] == pytest.approx(0.1 * (1 - k / 10), abs=1e-15)
+            assert pos[k, 0] == pytest.approx(0.1 * (1 - k / 10), abs=1e-15)
         for k in range(10, 30):
-            assert out[k].position[0] == 0.0
+            assert pos[k, 0] == 0.0
 
     def test_frames_past_window_bit_identical(self):
         rng = np.random.default_rng(22)
         traj = self.make_traj(rng)
         out = smooth_boundary(traj, 3, 6, random_pose(rng))
-        for t in range(9, len(traj)):
-            assert out[t] is traj[t]
+        assert same_bits(out[0][9:], traj[0][9:]) and same_bits(out[1][9:], traj[1][9:])
 
     def test_backward_direction(self):
-        base = [Pose(np.zeros(3), np.array([1, 0, 0, 0])) for _ in range(20)]
         static = Pose(np.array([0.0, 1.0, 0.0]), np.array([1, 0, 0, 0]))
-        out = smooth_boundary(base, 10, 5, static, direction="backward")
-        assert out[10].position[1] == pytest.approx(1.0)
-        assert out[7].position[1] == pytest.approx(1 - 3 / 5)
-        assert out[5].position[1] == 0.0
-        assert out[11].position[1] == 0.0
+        pos, _ = smooth_boundary(stack_poses([Pose.identity()] * 20), 10, 5, static,
+                                 direction="backward")
+        assert pos[10, 1] == pytest.approx(1.0)
+        assert pos[7, 1] == pytest.approx(1 - 3 / 5)
+        assert pos[5, 1] == 0.0
+        assert pos[11, 1] == 0.0
 
     def test_monotone_delta_magnitude(self):
         rng = np.random.default_rng(23)
-        traj = [Pose(np.zeros(3), np.array([1, 0, 0, 0])) for _ in range(25)]
         static = random_pose(rng)
-        out = smooth_boundary(traj, 0, 12, static)
-        mags = [np.linalg.norm(p.position) + quat_geodesic_angle(np.array([1, 0, 0, 0]),
-                                                                 p.orientation)
-                for p in out[:12]]
+        pos, quat = smooth_boundary(stack_poses([Pose.identity()] * 25), 0, 12, static)
+        mags = [np.linalg.norm(p) + quat_geodesic_angle(np.array([1, 0, 0, 0]), q)
+                for p, q in zip(pos[:12], quat[:12])]
         assert all(a >= b - 1e-12 for a, b in zip(mags, mags[1:]))
 
     def test_window_out_of_range(self):
-        traj = [Pose(np.zeros(3), np.array([1, 0, 0, 0])) for _ in range(5)]
+        traj = stack_poses([Pose.identity()] * 5)
         with pytest.raises(WindowOutOfRange):
-            smooth_boundary(traj, 7, 3, traj[0])
+            smooth_boundary(traj, 7, 3, pose_at(traj, 0))
         with pytest.raises(WindowOutOfRange):
             ramp_poses(traj, 2, 0, np.zeros(6))
 
@@ -245,50 +273,58 @@ class TestRecomputeWrist:
     def test_static_object_gives_constant_grasp_pose(self):
         rng = np.random.default_rng(30)
         grasp = GraspPose(random_pose(rng))
-        obj = [Pose(np.zeros(3), np.array([1, 0, 0, 0]))] * 10
-        wrist = [random_pose(rng) for _ in range(10)]
-        out = recompute_wrist(obj, wrist, grasp, (0, 10))
-        for p in out:
-            assert p.almost_equal(grasp.wrist_pose, 1e-12)
+        wrist = stack_poses([random_pose(rng) for _ in range(10)])
+        out = recompute_wrist(stack_poses([Pose.identity()] * 10), wrist, grasp, (0, 10))
+        for t in range(10):
+            assert pose_at(out, t).almost_equal(grasp.wrist_pose, 1e-12)
 
     def test_translated_object_translates_wrist(self):
         rng = np.random.default_rng(31)
         grasp = GraspPose(random_pose(rng))
         v = np.array([0.3, -0.2, 0.1])
-        obj = [Pose(v, np.array([1, 0, 0, 0]))] * 4
-        out = recompute_wrist(obj, [random_pose(rng)] * 4, grasp, (0, 4))
-        for p in out:
-            assert np.allclose(p.position, grasp.wrist_pose.position + v, atol=1e-12)
-            assert quat_geodesic_angle(p.orientation, grasp.wrist_pose.orientation) < 1e-12
+        obj = stack_poses([Pose(v, np.array([1, 0, 0, 0]))] * 4)
+        pos, quat = recompute_wrist(obj, stack_poses([random_pose(rng)] * 4), grasp, (0, 4))
+        for p, q in zip(pos, quat):
+            assert np.allclose(p, grasp.wrist_pose.position + v, atol=1e-12)
+            assert quat_geodesic_angle(q, grasp.wrist_pose.orientation) < 1e-12
 
     def test_yawed_object_matches_matrix_oracle(self):
         rng = np.random.default_rng(32)
         grasp = GraspPose(random_pose(rng))
         q = quat_from_yaw(math.pi / 2)
         obj = [Pose(np.array([1.0, 2.0, 0.0]), q)] * 3
-        out = recompute_wrist(obj, [random_pose(rng)] * 3, grasp, (0, 3))
+        out = recompute_wrist(stack_poses(obj), stack_poses([random_pose(rng)] * 3), grasp,
+                              (0, 3))
         oracle = compose(obj[0], grasp.wrist_pose)
-        for p in out:
-            assert p.almost_equal(oracle, 1e-12)
+        for t in range(3):
+            assert pose_at(out, t).almost_equal(oracle, 1e-12)
 
     def test_rigid_constraint_holds_on_moving_object(self):
         rng = np.random.default_rng(33)
         grasp = GraspPose(random_pose(rng))
         obj = [random_pose(rng) for _ in range(20)]
-        wrist = [random_pose(rng) for _ in range(20)]
-        out = recompute_wrist(obj, wrist, grasp, (4, 16), window=4)
+        wrist = stack_poses([random_pose(rng) for _ in range(20)])
+        out = recompute_wrist(stack_poses(obj), wrist, grasp, (4, 16), window=4)
         for i in range(4, 16):
-            rel = compose(invert(obj[i]), out[i])
+            rel = compose(invert(obj[i]), pose_at(out, i))
             assert rel.almost_equal(grasp.wrist_pose, 1e-9)
         # flanks ramp toward the recomputed boundary poses
-        assert out[0] is wrist[0]
-        assert out[19].almost_equal(wrist[19], 1e-12)
+        assert same_bits(out[0][0], wrist[0][0]) and same_bits(out[1][0], wrist[1][0])
+        assert pose_at(out, 19).almost_equal(pose_at(wrist, 19), 1e-12)
 
     def test_empty_contact(self):
         rng = np.random.default_rng(34)
         with pytest.raises(EmptyContact):
-            recompute_wrist([random_pose(rng)], [random_pose(rng)],
+            recompute_wrist(stack_poses([random_pose(rng)]), stack_poses([random_pose(rng)]),
                             GraspPose(random_pose(rng)), (1, 1))
+
+    def test_trajectory_arrays_differ_in_length(self):
+        rng = np.random.default_rng(35)
+        obj = stack_poses([random_pose(rng) for _ in range(4)])
+        wrist = stack_poses([random_pose(rng) for _ in range(4)])
+        for bad in ((obj[0], obj[1][:3]), obj), (obj, (wrist[0], wrist[1][:3])):
+            with pytest.raises(ShapeMismatch):
+                recompute_wrist(*bad, GraspPose(random_pose(rng)), (1, 3))
 
 
 class TestBuildConditions:
@@ -557,7 +593,8 @@ def test_ik_initial_rotations_need_one_per_link():
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(10, 40), st.data())
 def test_postprocess_matches_per_frame_oracle(t, data):
-    """Batched wrist rebuild, encode, lockstep IK and deviation against the frame loop."""
+    """Batched pinning, wrist rebuild, encode, lockstep IK and deviation against the
+    frame loop, with the first/last frame or a given pose as the static poses."""
     s = data.draw(st.integers(0, t - 2))
     e = data.draw(st.integers(s + 1, t))
     motion, grasp = build_interaction_motion(t=t, contact_range=(s, e), seed=data.draw(
@@ -572,7 +609,8 @@ def test_postprocess_matches_per_frame_oracle(t, data):
     chains = data.draw(st.sampled_from([{}, {"right": (1, 2, 3)},
                                         {"left": (1, 2, 0), "right": (1, 2, 3)}]))
     args = (data.draw(st.sampled_from([0.0, 0.5, 1.0])), data.draw(st.integers(1, 6)),
-            data.draw(st.integers(1, 15)), wrists, chains)
+            data.draw(st.integers(1, 15)), wrists, chains,
+            data.draw(st.none() | poses()), data.draw(st.none() | poses()))
     got, got_diag = postprocess_motion(motion, grasps, *args)
     want, want_diag = postprocess_oracle(motion, grasps, *args)
     assert dump_json(motion_to_json(got)) == dump_json(motion_to_json(want))
