@@ -70,9 +70,16 @@ def quat_normalize(q) -> np.ndarray:
     return q if unit.all() else np.where(unit, q, q / n)
 
 
+def cross(a, b) -> np.ndarray:
+    """numpy's cross product over the last axis, bit for bit, without its axis moves."""
+    a0, a1, a2, b0, b1, b2 = a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def quat_multiply(a, b) -> np.ndarray:
-    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
-    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     return np.stack([
         aw * bw - ax * bx - ay * by - az * bz,
         aw * bx + ax * bw + ay * bz - az * by,
@@ -91,12 +98,13 @@ def quat_rotate(q, v) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     u, w = q[..., 1:], q[..., :1]
-    t = 2.0 * np.cross(u, v)
-    return v + w * t + np.cross(u, t)
+    t = 2.0 * cross(u, v)
+    return v + w * t + cross(u, t)
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     return np.stack([
         np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1),
         np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1),
@@ -247,7 +255,7 @@ def rot6d_decode(r6) -> np.ndarray:
         first = int((zero | parallel).argmax())
         raise DegenerateRotation("first 6D column is near zero" if zero[first]
                                  else "6D columns are parallel")
-    return np.stack([x, y, np.cross(x, y)], axis=-1)
+    return np.stack([x, y, cross(x, y)], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ Environment variables for the HTTP backend: ``HOIPLAN_LLM_URL``,
 """
 
 import hashlib
+import math
 import os
 import re
 import time
@@ -173,10 +174,15 @@ class HttpBackend:
         url = os.environ.get(ENV_URL, "")
         if not url:
             raise Transport(f"{ENV_URL} is not set")
-        return cls(url=url,
-                   model=os.environ.get(ENV_MODEL, "gpt-4o"),
-                   api_key=os.environ.get(ENV_API_KEY, ""),
-                   timeout=float(os.environ.get(ENV_TIMEOUT, "60")))
+        raw = os.environ.get(ENV_TIMEOUT, "60")
+        try:
+            timeout = float(raw)
+        except ValueError:
+            timeout = math.nan
+        if not 0.0 < timeout < math.inf:
+            raise Transport(f"{ENV_TIMEOUT} must be a positive number of seconds, got {raw!r}")
+        return cls(url=url, model=os.environ.get(ENV_MODEL, "gpt-4o"),
+                   api_key=os.environ.get(ENV_API_KEY, ""), timeout=timeout)
 
     def payload(self, bundle: PromptBundle) -> dict:
         return {
@@ -215,10 +221,14 @@ class HttpBackend:
                 raise Transport(f"request failed with {resp.status_code}",
                                 status=resp.status_code)
             try:
-                return resp.json()["choices"][0]["message"]["content"]
+                content = resp.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as e:
                 raise Transport(f"malformed completion payload: {e}",
                                 status=resp.status_code) from e
+            if isinstance(content, str):
+                return content
+            raise Transport("malformed completion payload: content is not a string",
+                            status=resp.status_code)
         raise last_error
 
 

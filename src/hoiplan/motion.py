@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HoiplanError
-from .geometry import (Pose, matrix_to_quat, per_element, quat_conjugate,
+from .geometry import (Pose, cross, matrix_to_quat, per_element, quat_conjugate,
                        quat_from_axis_angle, quat_geodesic_angle, quat_multiply,
                        quat_normalize, quat_rotate, quat_to_axis_angle, quat_to_matrix,
                        rot6d_decode, rot6d_encode, vec_norm)
@@ -40,6 +40,10 @@ class EmptyContact(HoiplanError):
 
 class JointOutOfRange(HoiplanError):
     code = "motion.joint_out_of_range"
+
+
+class UnknownDirection(HoiplanError):
+    code = "motion.unknown_direction"
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +222,8 @@ def ramp_poses(traj, boundary: int, window: int, delta,
     ``backward`` touches (boundary-window, boundary]. Frames at or past the
     window end keep their bits. Rotations blend via the exponential map.
     """
+    if direction not in ("forward", "backward"):
+        raise UnknownDirection(f"direction must be 'forward' or 'backward', got {direction!r}")
     pos, quat = (np.array(a, dtype=float) for a in traj)
     t = len(pos)
     if not 0 <= boundary < t:
@@ -392,17 +398,15 @@ class IkResult:
     residual_history: list[float]
 
 
-def _fk(lengths, base, rotations) -> tuple[np.ndarray, np.ndarray]:
-    """Joint positions plus end effector (K, n+1, 3), and each joint's parent frame (K, n, 4)."""
+def _fk(lengths, rotations, start, frame) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (K, n+1, 3) and parent frames (K, n+1, 4) from start (K, 3) in frame (K, 4) on."""
     k, n = lengths.shape
     pts = np.empty((k, n + 1, 3))
-    frames = np.empty((k, n, 4))
-    pts[:, 0] = base
-    frame = np.broadcast_to([1.0, 0.0, 0.0, 0.0], (k, 4))
+    frames = np.empty((k, n + 1, 4))
+    pts[:, 0], frames[:, 0] = start, frame
     segment = np.zeros((k, 3))
     for i in range(n):
-        frames[:, i] = frame
-        frame = quat_multiply(frame, rotations[:, i])
+        frame = frames[:, i + 1] = quat_multiply(frame, rotations[:, i])
         segment[:, 0] = lengths[:, i]
         pts[:, i + 1] = pts[:, i] + quat_rotate(frame, segment)
     return pts, frames
@@ -412,7 +416,7 @@ def _align_quat(v_from, v_to) -> np.ndarray:
     """Quaternions rotating each row of v_from onto v_to (rows assumed nonzero)."""
     a = v_from / vec_norm(v_from)[:, None]
     b = v_to / vec_norm(v_to)[:, None]
-    c = np.cross(a, b)
+    c = cross(a, b)
     d = np.vecdot(a, b)
     n = vec_norm(c)
     with np.errstate(divide="ignore", invalid="ignore"):  # (anti)parallel rows, replaced below
@@ -421,9 +425,9 @@ def _align_quat(v_from, v_to) -> np.ndarray:
     if parallel.any():
         # identity, or for antiparallel rows a half turn about a perpendicular axis
         a = a[parallel]
-        perp = np.cross(a, [1.0, 0.0, 0.0])
+        perp = cross(a, np.array([1.0, 0.0, 0.0]))
         thin = vec_norm(perp) < 1e-9
-        perp[thin] = np.cross(a[thin], [0.0, 1.0, 0.0])
+        perp[thin] = cross(a[thin], np.array([0.0, 1.0, 0.0]))
         perp /= vec_norm(perp)[:, None]
         half_turn = np.concatenate([np.zeros((len(perp), 1)), perp], axis=1)
         q[parallel] = np.where((d[parallel] > 0)[:, None], [1.0, 0.0, 0.0, 0.0], half_turn)
@@ -447,7 +451,7 @@ def ik_solve_batch(lengths, base, target, initial_rotations=None, max_iters: int
     k, n = lengths.shape
     rot = np.tile([1.0, 0.0, 0.0, 0.0], (k, n, 1)) if initial_rotations is None \
         else np.array(quat_normalize(initial_rotations))
-    pts, frames = _fk(lengths, base, rot)
+    pts, frames = _fk(lengths, rot, base, np.tile([1.0, 0.0, 0.0, 0.0], (k, 1)))
     residual = vec_norm(pts[:, -1] - target)
     history = [residual]
     iterations = np.zeros(k, dtype=int)
@@ -467,7 +471,9 @@ def ik_solve_batch(lengths, base, target, initial_rotations=None, max_iters: int
             parent = frames[rows, i]
             local = quat_multiply(quat_multiply(quat_conjugate(parent), g), parent)
             rot[rows, i] = quat_normalize(quat_multiply(local, rot[rows, i]))
-            pts[rows], frames[rows] = _fk(lengths[rows], base[rows], rot[rows])
+            # joints 0..i and their frames did not move
+            pts[rows, i:], frames[rows, i:] = _fk(lengths[rows, i:], rot[rows, i:],
+                                                  pts[rows, i], frames[rows, i])
         residual = residual.copy()
         residual[active] = vec_norm(pts[active, -1] - target[active])
         history.append(residual)

@@ -431,8 +431,8 @@ def _motion_arrays(raw_frames: list, text: str):
     Invalid input always goes to ``_walk_frames``, which gives each error its
     code, JSON pointer and message.
     """
-    if "true" in text or "false" in text or "null" in text:
-        return None  # np.array would read a bool among numbers as 0 or 1
+    if "true" in text or "false" in text:
+        return None  # np.array reads a bool as 0 or 1; a null fails below (dtype or TypeError)
     try:
         fields = [np.array(rows) for rows in (
             [f["joints"] for f in raw_frames], [f["joint_rot6d"] for f in raw_frames],
@@ -502,4 +502,20 @@ def load_motion(path) -> MotionSequence:
 
 
 def save_motion(motion: MotionSequence, path):
-    write_text(path, dump_json(motion_to_json(motion)))
+    """Write ``dump_json(motion_to_json(motion))``: the text between the numbers, the
+    same in every frame, is cut once from a two-frame skeleton's dump."""
+    t = motion.num_frames
+    fields = (motion.joints, motion.joint_rot6d, motion.object_pos, motion.object_quat,
+              motion.contact)
+    values = np.concatenate([a.reshape(t, -1) for a in fields], axis=1) if t else None
+    if values is None or not np.isfinite(values).all():  # JSON spells nan and inf apart
+        return write_text(path, dump_json(motion_to_json(motion)))
+    # 0.5 is a valid number in every slot, and no key or integer contains it
+    skeleton = MotionSequence(motion.fps, *(np.full((2, *a.shape[1:]), 0.5) for a in fields))
+    pieces = dump_json(motion_to_json(skeleton)).split("0.5")
+    out = [""] * (2 * values.size + 1)
+    out[1::2] = map(float.__repr__, values.ravel().tolist())
+    out[2::2] = pieces[1:values.shape[1] + 1] * t  # the last one joins frame to frame
+    out[0], out[-1] = pieces[0], pieces[-1]
+    text, out = "".join(out), None  # free the pieces before write_text encodes the text
+    write_text(path, text)

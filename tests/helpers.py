@@ -680,13 +680,17 @@ def ik_solve_oracle(chain, target, initial_rotations=None, max_iters=100, tol=1e
     return IkResult(rotations, pts, residual, iterations, residual <= tol, history)
 
 
-def _rot6d_encode_oracle(q):
+def quat_to_matrix_oracle(q):
     w, x, y, z = q
-    m = np.array([
+    return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
+
+
+def _rot6d_encode_oracle(q):
+    m = quat_to_matrix_oracle(q)
     return np.concatenate([m[:, 0], m[:, 1]])
 
 

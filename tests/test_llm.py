@@ -211,6 +211,27 @@ class TestHttpBackend:
         assert backend.model == "m1"
         assert backend.timeout == 12.5
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-5", ""])
+    def test_from_env_refuses_a_timeout_that_is_not_a_positive_number(self, monkeypatch, value):
+        monkeypatch.setenv(llm.ENV_URL, "http://example.test/llm")
+        monkeypatch.setenv(llm.ENV_TIMEOUT, value)
+        with pytest.raises(Transport) as e:
+            HttpBackend.from_env()
+        assert e.value.code == "llm.transport" and llm.ENV_TIMEOUT in str(e.value)
+
+    @pytest.mark.parametrize("content", [None, 42, ["text"], {"text": "x"}])
+    def test_content_that_is_not_a_string_is_malformed(self, monkeypatch, content):
+        calls = []
+
+        def fake_post(url, **kwargs):
+            calls.append(url)
+            return DummyResponse(200, {"choices": [{"message": {"content": content}}]})
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        with pytest.raises(Transport, match="^malformed completion payload") as e:
+            self.make_backend().complete(render_prompt(workspace_scene(), "go"))
+        assert e.value.status == 200 and len(calls) == 1
+
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
             HttpBackend(url="http://example.test/llm", model="m", retries=-1)

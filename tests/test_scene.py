@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from helpers import grasps_to_json, polygon_area, weights_to_json
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import hoiplan.scene
@@ -476,6 +476,47 @@ def test_valid_motion_loads_without_the_per_number_walker(monkeypatch, tmp_path)
     again = load_motion(tmp_path / "motion.json")
     for name in ("joints", "joint_rot6d", "object_pos", "object_quat", "contact"):
         assert np.array_equal(getattr(again, name), getattr(motion, name)), name
+
+
+def test_null_in_any_motion_slot_gets_the_walker_error_at_its_pointer():
+    """A null anywhere in a motion leaves the array path for the walker's error."""
+    doc = motion_to_json(TestMotionIO().make_motion())
+    for path, _ in list(_paths(doc)):
+        mutated = json.loads(json.dumps(doc))
+        _set(mutated, path, None)
+        text = json.dumps(mutated)
+        got = _parse_outcome(text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hoiplan.scene, "_motion_arrays", lambda frames, text: None)
+            assert got == _parse_outcome(text)
+        assert got[0] == "SchemaError" and got[2] == "/" + "/".join(map(str, path))
+
+
+# exact reprs with an exponent, the smallest subnormal and a signed zero
+_SAVE_VALUES = [0.5, -0.0, 5e-324, 1e-7, 1e16, -2.5e-5, 2.0 ** 53 + 2]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([None, math.nan, math.inf, -math.inf]))
+def test_save_motion_writes_the_bytes_of_dump_json(t, j, seed, bad):
+    rng = np.random.default_rng(seed)
+
+    def values(*shape):
+        return np.where(rng.random(shape) < 0.3, rng.choice(_SAVE_VALUES, shape),
+                        rng.normal(scale=10.0 ** rng.integers(-3, 4), size=shape))
+    contact = rng.choice([0.0, -0.0, 5e-324, 0.5, 1.0, rng.random()], (t, 2))
+    fields = [values(t, j, 3), values(t, j, 6), values(t, 3), values(t, 4)]
+    if bad is not None:  # JSON spells nan and inf apart from their reprs
+        field = fields[rng.choice([k for k, f in enumerate(fields) if f.size])]
+        field.reshape(t, -1)[rng.integers(t), 0] = bad
+    motion = MotionSequence(int(rng.integers(1, 121)), *fields, contact)
+    written = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hoiplan.scene, "write_text", lambda path, text: written.append(text))
+        save_motion(motion, "motion.json")
+    assert written == [dump_json(motion_to_json(motion))]
 
 
 class TestBoxGeometry:
